@@ -9,7 +9,8 @@ useful for tracking regressions in the reference implementations).
 import numpy as np
 import pytest
 
-from repro.algorithms import DGC, GradDrop, OneBit, TBQ, TernGrad
+from repro.algorithms import (DGC, AdaComp, GradDrop, OneBit, TBQ, TernGrad,
+                              ThreeLC)
 from repro.experiments import kernel_speed
 
 GRADIENT = (np.random.default_rng(0).standard_normal(1_000_000) * 0.1
@@ -24,18 +25,20 @@ def test_kernel_speed_model(benchmark, report):
     assert by_algo["dgc"].speedup > 2
 
 
-@pytest.mark.parametrize("algo", [
+#: Every registry codec.
+WALLCLOCK_CODECS = [
     OneBit(), TBQ(threshold=0.25), TernGrad(bitwidth=2), DGC(rate=0.001),
-    GradDrop(keep_rate=0.01),
-], ids=lambda a: a.name)
+    GradDrop(keep_rate=0.01), AdaComp(), ThreeLC(),
+]
+
+
+@pytest.mark.parametrize("algo", WALLCLOCK_CODECS, ids=lambda a: a.name)
 def test_encode_wallclock(benchmark, algo):
     buf = benchmark(algo.encode, GRADIENT)
     assert buf.size < GRADIENT.nbytes
 
 
-@pytest.mark.parametrize("algo", [
-    OneBit(), TBQ(threshold=0.25), TernGrad(bitwidth=2), DGC(rate=0.001),
-], ids=lambda a: a.name)
+@pytest.mark.parametrize("algo", WALLCLOCK_CODECS, ids=lambda a: a.name)
 def test_decode_wallclock(benchmark, algo):
     buf = algo.encode(GRADIENT)
     out = benchmark(algo.decode, buf)

@@ -11,7 +11,7 @@ folded into the encode pass count).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +33,18 @@ class ErrorFeedback:
         self.algorithm = algorithm
         self._residuals: Dict[str, np.ndarray] = {}
 
-    def compress(self, name: str, gradient: np.ndarray) -> np.ndarray:
-        """Compress ``gradient`` with residual correction; returns the buffer."""
+    def compress(self, name: str, gradient: np.ndarray, *,
+                 return_decoded: bool = False
+                 ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """Compress ``gradient`` with residual correction; returns the buffer.
+
+        The residual needs ``decode(buffer)``; with ``return_decoded`` that
+        decode is handed back too, as ``(buffer, decoded)``, so a caller
+        that needs what the receiver sees does not decode a second time.
+        The default (buffer only) keeps the public ``compress`` contract
+        that existing callers and tracers rely on;
+        ``WorkerCompressionState.roundtrip`` always sets it to True.
+        """
         grad = np.ascontiguousarray(gradient, dtype=np.float32).ravel()
         residual = self._residuals.get(name)
         if residual is not None:
@@ -48,8 +58,9 @@ class ErrorFeedback:
             buffer = encode_named(name, grad)  # adaptive codecs track by name
         else:
             buffer = self.algorithm.encode(grad)
-        self._residuals[name] = grad - self.algorithm.decode(buffer)
-        return buffer
+        decoded = self.algorithm.decode(buffer)
+        self._residuals[name] = grad - decoded
+        return (buffer, decoded) if return_decoded else buffer
 
     def residual(self, name: str) -> Optional[np.ndarray]:
         return self._residuals.get(name)
@@ -82,7 +93,13 @@ class DGCMomentum:
         self._u: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
 
-    def compress(self, name: str, gradient: np.ndarray) -> np.ndarray:
+    def compress(self, name: str, gradient: np.ndarray, *,
+                 return_decoded: bool = False
+                 ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """Compress with momentum correction; returns the buffer.
+
+        ``return_decoded`` works as in :meth:`ErrorFeedback.compress`.
+        """
         grad = np.ascontiguousarray(gradient, dtype=np.float32).ravel()
         if self.clip_norm is not None:
             norm = float(np.linalg.norm(grad))
@@ -96,12 +113,13 @@ class DGCMomentum:
         u = self.momentum * u + grad
         v = v + u
         buffer = self.algorithm.encode(v)
-        sent = self.algorithm.decode(buffer) != 0
+        decoded = self.algorithm.decode(buffer)
+        sent = decoded != 0
         u[sent] = 0.0
         v[sent] = 0.0
         self._u[name] = u
         self._v[name] = v
-        return buffer
+        return (buffer, decoded) if return_decoded else buffer
 
     def reset(self) -> None:
         self._u.clear()

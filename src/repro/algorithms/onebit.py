@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CompressionAlgorithm, KernelProfile
-from .packing import ByteReader, ByteWriter
+from .packing import ByteReader, ByteWriter, unpack_bits
 
 __all__ = ["OneBit"]
 
@@ -58,9 +58,8 @@ class OneBit(CompressionAlgorithm):
         count = int(reader.scalar("u4"))
         scale_pos = float(reader.scalar("f4"))
         scale_neg = float(reader.scalar("f4"))
-        bits = np.unpackbits(reader.rest())[:count].astype(bool)
-        return np.where(bits, np.float32(scale_pos),
-                        np.float32(scale_neg)).astype(np.float32)
+        bits = unpack_bits(reader.rest(), count)
+        return np.where(bits, np.float32(scale_pos), np.float32(scale_neg))
 
     def compressed_nbytes(self, num_elements: int) -> int:
         if num_elements <= 0:

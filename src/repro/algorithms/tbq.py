@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CompressionAlgorithm, KernelProfile
-from .packing import ByteReader, ByteWriter
+from .packing import ByteReader, ByteWriter, unpack_bits
 
 __all__ = ["TBQ"]
 
@@ -63,7 +63,7 @@ class TBQ(CompressionAlgorithm):
         tau = float(reader.scalar("f4"))
         nsel = int(reader.scalar("u4"))
         indices = reader.array(np.uint32, nsel)
-        signs = np.unpackbits(reader.rest())[:nsel].astype(bool)
+        signs = unpack_bits(reader.rest(), nsel)
         out = np.zeros(count, dtype=np.float32)
         out[indices] = np.where(signs, np.float32(tau), np.float32(-tau))
         return out

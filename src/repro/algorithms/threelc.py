@@ -17,15 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CompressionAlgorithm, KernelProfile
-from .packing import ByteReader, ByteWriter
+from .packing import (ByteReader, ByteWriter, pack_ternary, rle_decode,
+                      rle_encode, unpack_ternary)
 
 __all__ = ["ThreeLC"]
 
-_POWERS = np.asarray([81, 27, 9, 3, 1], dtype=np.uint32)
-#: The byte value of a quintet of ternary digit 1 (= quantized zero).
-_ZERO_BYTE = int((_POWERS * 1).sum())  # 121
-_RUN_BASE = 243
-_MAX_RUN = 255 - _RUN_BASE + 2  # runs of 2..14
+#: Decoded value of ternary digits 0/1/2, before scaling.
+_LEVELS = np.asarray([-1, 0, 1], dtype=np.float32)
 
 
 class ThreeLC(CompressionAlgorithm):
@@ -54,39 +52,6 @@ class ThreeLC(CompressionAlgorithm):
         np.clip(digits, -1, 1, out=digits)
         return (digits + 1).astype(np.uint8), scale  # ternary digits 0/1/2
 
-    # -- run-length encoding over quintet bytes ----------------------------
-
-    @staticmethod
-    def _rle_encode(body: np.ndarray) -> np.ndarray:
-        out = []
-        i = 0
-        n = body.size
-        while i < n:
-            byte = int(body[i])
-            if byte == _ZERO_BYTE:
-                run = 1
-                while (i + run < n and run < _MAX_RUN
-                       and int(body[i + run]) == _ZERO_BYTE):
-                    run += 1
-                if run >= 2:
-                    out.append(_RUN_BASE + run - 2)
-                    i += run
-                    continue
-            out.append(byte)
-            i += 1
-        return np.asarray(out, dtype=np.uint8)
-
-    @staticmethod
-    def _rle_decode(stream: np.ndarray) -> np.ndarray:
-        out = []
-        for byte in stream:
-            byte = int(byte)
-            if byte >= _RUN_BASE:
-                out.extend([_ZERO_BYTE] * (byte - _RUN_BASE + 2))
-            else:
-                out.append(byte)
-        return np.asarray(out, dtype=np.uint8)
-
     # -- codec --------------------------------------------------------------
 
     def encode(self, gradient: np.ndarray) -> np.ndarray:
@@ -94,13 +59,7 @@ class ThreeLC(CompressionAlgorithm):
         if grad.size == 0:
             raise ValueError("cannot compress an empty gradient")
         digits, scale = self._quantize(grad)
-        pad = (-digits.size) % 5
-        if pad:
-            digits = np.concatenate(
-                [digits, np.full(pad, 1, dtype=np.uint8)])
-        quintets = digits.reshape(-1, 5).astype(np.uint32)
-        body = (quintets * _POWERS).sum(axis=1).astype(np.uint8)
-        rle = self._rle_encode(body)
+        rle = rle_encode(pack_ternary(digits))
         return (ByteWriter()
                 .scalar(grad.size, "u4")
                 .scalar(scale, "f4")
@@ -113,11 +72,8 @@ class ThreeLC(CompressionAlgorithm):
         count = int(reader.scalar("u4"))
         scale = float(reader.scalar("f4"))
         body_len = int(reader.scalar("u4"))
-        body = self._rle_decode(reader.array(np.uint8, body_len))
-        quintets = body.astype(np.uint32)[:, None]
-        digits = (quintets // _POWERS) % 3
-        digits = digits.ravel()[:count].astype(np.int8) - 1
-        return digits.astype(np.float32) * np.float32(scale)
+        body = rle_decode(reader.array(np.uint8, body_len))
+        return unpack_ternary(body, count, _LEVELS * np.float32(scale))
 
     def compressed_nbytes(self, num_elements: int) -> int:
         """Planning estimate: assume ~60 % of quintet bytes RLE away."""

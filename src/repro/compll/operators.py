@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..algorithms import packing
 from ..algorithms.packing import ByteReader, ByteWriter, pack_uint, unpack_uint
 
 __all__ = ["Runtime", "Cursor", "BUILTIN_UDFS", "BUILTIN_ORDERS"]
@@ -223,35 +224,25 @@ class Runtime:
         thr = np.maximum(np.asarray(thresholds), 1e-30)
         return np.nonzero(mags >= thr)[0].astype(np.uint32)
 
-    # Registered for 3LC (§4.4): base-3^5 packing and zero-run encoding.
+    # Registered for 3LC (§4.4): base-3^5 packing and zero-run encoding,
+    # sharing the hand-written codec's kernels.
 
     def pack_ternary(self, digits: np.ndarray) -> np.ndarray:
         """Pack ternary digits (0/1/2) five-per-byte, padding with 1s."""
-        from ..algorithms.threelc import _POWERS
-        arr = np.asarray(digits, dtype=np.uint8)
-        pad = (-arr.size) % 5
-        if pad:
-            arr = np.concatenate([arr, np.full(pad, 1, dtype=np.uint8)])
-        quintets = arr.reshape(-1, 5).astype(np.uint32)
-        return (quintets * _POWERS).sum(axis=1).astype(np.uint8)
+        return packing.pack_ternary(digits)
 
     def unpack_ternary(self, body: np.ndarray, count: int) -> np.ndarray:
         """Inverse of :meth:`pack_ternary`; returns ``count`` digits."""
-        from ..algorithms.threelc import _POWERS
-        quintets = np.asarray(body, dtype=np.uint32)[:, None]
-        digits = (quintets // _POWERS) % 3
         # int32, not uint8: scalar udfs subtract from these digits, and
         # unsigned wrap-around would corrupt the sign.
-        return digits.ravel()[:int(count)].astype(np.int32)
+        return packing.unpack_ternary(body, int(count)).astype(np.int32)
 
     def rle(self, body: np.ndarray) -> np.ndarray:
         """Zero-run encode the all-zero-quintet byte (3LC's trick)."""
-        from ..algorithms.threelc import ThreeLC
-        return ThreeLC._rle_encode(np.asarray(body, dtype=np.uint8))
+        return packing.rle_encode(body)
 
     def unrle(self, stream: np.ndarray) -> np.ndarray:
-        from ..algorithms.threelc import ThreeLC
-        return ThreeLC._rle_decode(np.asarray(stream, dtype=np.uint8))
+        return packing.rle_decode(stream)
 
     # -- scalar builtins usable inside udf bodies ----------------------------
 

@@ -53,10 +53,11 @@ class WorkerCompressionState:
             return grad
         flat = grad.ravel()
         if self._state is None:
-            buf = self.algorithm.encode(flat)
+            decoded = self.algorithm.decode(self.algorithm.encode(flat))
         else:
-            buf = self._state.compress(name, flat)
-        return self.algorithm.decode(buf).reshape(grad.shape)
+            _buf, decoded = self._state.compress(name, flat,
+                                                 return_decoded=True)
+        return decoded.reshape(grad.shape)
 
 
 @dataclass

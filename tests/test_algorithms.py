@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import (
     DGC,
     AdaComp,
+    ByteWriter,
     GradDrop,
     OneBit,
     TBQ,
@@ -346,6 +347,52 @@ def test_threelc_padding_lengths():
     for n in (1, 4, 5, 6, 9, 10, 11):
         grad = random_gradient(n, seed=n)
         assert algo.roundtrip(grad).size == n
+
+
+# ------------------------------------------------------- short payloads
+#
+# A header promising more elements than the payload carries must raise,
+# naming the bytes needed and the bytes present, never decode short.
+
+def test_onebit_short_payload_raises():
+    buf = (ByteWriter().scalar(100, "u4").scalar(1.0, "f4")
+           .scalar(-1.0, "f4").array(np.asarray([0xFF], dtype=np.uint8))
+           .finish())
+    with pytest.raises(ValueError, match="need 13 bytes, have 1"):
+        OneBit().decode(buf)
+
+
+def test_threelc_short_payload_raises():
+    buf = (ByteWriter().scalar(100, "u4").scalar(1.0, "f4").scalar(1, "u4")
+           .array(np.asarray([5], dtype=np.uint8)).finish())
+    with pytest.raises(ValueError, match="need 20 bytes, have 1"):
+        ThreeLC().decode(buf)
+
+
+def test_threelc_short_run_payload_raises():
+    # One run byte expands to 14 quintets: still short of the 20 needed.
+    buf = (ByteWriter().scalar(100, "u4").scalar(1.0, "f4").scalar(1, "u4")
+           .array(np.asarray([255], dtype=np.uint8)).finish())
+    with pytest.raises(ValueError, match="need 20 bytes, have 14"):
+        ThreeLC().decode(buf)
+
+
+def test_tbq_short_sign_field_raises():
+    buf = (ByteWriter().scalar(100, "u4").scalar(0.1, "f4").scalar(20, "u4")
+           .array(np.arange(20, dtype=np.uint32))
+           .array(np.asarray([1, 2], dtype=np.uint8)).finish())
+    with pytest.raises(ValueError, match="need 3 bytes, have 2"):
+        TBQ().decode(buf)
+
+
+@pytest.mark.parametrize("algo", [OneBit(), ThreeLC(), TBQ(threshold=0.05)],
+                         ids=lambda a: a.name)
+def test_truncated_buffers_raise(algo):
+    grad = random_gradient(403, seed=5)
+    buf = algo.encode(grad)
+    np.testing.assert_array_equal(algo.decode(buf), algo.roundtrip(grad))
+    with pytest.raises(ValueError):
+        algo.decode(buf[:-1])
 
 
 # --------------------------------------------------------------- registry

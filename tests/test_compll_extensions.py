@@ -111,6 +111,17 @@ def test_threelc_dsl_equivalent_to_handwritten():
     np.testing.assert_allclose(generated, ours, atol=1e-6)
 
 
+def test_threelc_dsl_bytes_identical_to_handwritten():
+    """Both call the same packing kernels, so the wire bytes match."""
+    sparse = np.zeros(3000, dtype=np.float32)
+    sparse[::97] = 1.0
+    generated, ours = build("threelc"), ThreeLC()
+    for grad in (random_gradient(2000, seed=5), sparse):
+        buf = ours.encode(grad)
+        assert generated.encode(grad).tobytes() == buf.tobytes()
+        np.testing.assert_array_equal(generated.decode(buf), ours.decode(buf))
+
+
 def test_threelc_dsl_compresses_sparse_input():
     algo = build("threelc")
     grad = np.zeros(10_000, dtype=np.float32)

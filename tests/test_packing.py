@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ByteReader, ByteWriter, pack_uint, unpack_uint
+from repro.algorithms.packing import (ZERO_QUINTET, pack_ternary, rle_decode,
+                                      rle_encode, unpack_bits, unpack_ternary)
+from tests import packing_oracles as oracle
 
 
 @pytest.mark.parametrize("bitwidth", [1, 2, 3, 4, 5, 8, 12, 16])
@@ -102,3 +106,185 @@ def test_byte_reader_unaligned_offsets():
     reader = ByteReader(buf)
     assert reader.scalar("u1") == 3
     assert reader.scalar("f4") == pytest.approx(1.25)
+
+
+# ------------------------------------------------ kernels against oracles
+#
+# The whole-array kernels must be byte-identical to the per-element
+# formulations in tests/packing_oracles.py.
+
+def assert_identical(mine, theirs):
+    assert mine.dtype == theirs.dtype
+    assert mine.shape == theirs.shape
+    assert mine.tobytes() == theirs.tobytes()
+
+
+@st.composite
+def width_and_values(draw, max_size=70):
+    width = draw(st.integers(1, 16))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1),
+                           max_size=max_size))
+    return width, np.asarray(values, dtype=np.int64)
+
+
+@given(case=width_and_values())
+@settings(max_examples=300, deadline=None)
+def test_pack_uint_matches_oracle(case):
+    width, values = case
+    assert_identical(pack_uint(values, width), oracle.pack_uint(values, width))
+
+
+@given(width=st.integers(1, 16), count=st.integers(0, 70),
+       extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_unpack_uint_matches_oracle(width, count, extra, seed):
+    nbytes = (count * width + 7) // 8 + extra
+    buf = np.random.default_rng(seed).integers(0, 256, nbytes, dtype=np.uint8)
+    assert_identical(unpack_uint(buf, width, count),
+                     oracle.unpack_uint(buf, width, count))
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_fast_widths_at_ragged_lengths(width):
+    """Lengths that are not a multiple of ``8 / width`` values per byte."""
+    per_byte = 8 // width
+    rng = np.random.default_rng(width)
+    for count in range(1, 4 * per_byte + 2):
+        if per_byte > 1 and count % per_byte == 0:
+            continue
+        values = rng.integers(0, 1 << width, count)
+        packed = pack_uint(values, width)
+        assert_identical(packed, oracle.pack_uint(values, width))
+        assert_identical(unpack_uint(packed, width, count),
+                         values.astype(np.uint32))
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 3, 12])
+def test_pack_uint_rejects_out_of_range(width):
+    with pytest.raises(ValueError):
+        pack_uint(np.asarray([0, 1 << width]), width)
+    with pytest.raises(ValueError):
+        pack_uint(np.asarray([0, -1]), width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 3, 12])
+def test_unpack_uint_underrun_names_bytes(width):
+    count = 9
+    needed = (count * width + 7) // 8
+    buf = np.zeros(needed - 1, dtype=np.uint8)
+    with pytest.raises(ValueError,
+                       match=f"need {needed} bytes, have {needed - 1}"):
+        unpack_uint(buf, width, count)
+
+
+@given(count=st.integers(0, 40), extra=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_unpack_bits_matches_unpackbits(count, extra, seed):
+    buf = np.random.default_rng(seed).integers(
+        0, 256, (count + 7) // 8 + extra, dtype=np.uint8)
+    bits = unpack_bits(buf, count)
+    assert bits.dtype == np.bool_
+    np.testing.assert_array_equal(bits, np.unpackbits(buf)[:count] == 1)
+
+
+def test_unpack_bits_underrun_raises():
+    with pytest.raises(ValueError, match="need 2 bytes, have 1"):
+        unpack_bits(np.zeros(1, dtype=np.uint8), 9)
+
+
+@given(digits=st.lists(st.integers(0, 2), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_pack_ternary_matches_oracle(digits):
+    digits = np.asarray(digits, dtype=np.uint8)
+    packed = pack_ternary(digits)
+    assert_identical(packed, oracle.pack_ternary(digits))
+    assert_identical(unpack_ternary(packed, digits.size), digits)
+
+
+@given(body=st.lists(st.integers(0, 255), max_size=40),
+       trim=st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_unpack_ternary_matches_oracle(body, trim):
+    body = np.asarray(body, dtype=np.uint8)
+    count = max(0, 5 * body.size - trim)
+    assert_identical(unpack_ternary(body, count),
+                     oracle.unpack_ternary(body, count))
+
+
+def test_unpack_ternary_maps_through_values():
+    body = pack_ternary(np.asarray([0, 1, 2, 2, 1, 0, 1], dtype=np.uint8))
+    values = np.asarray([-1.5, 0.0, 1.5], dtype=np.float32)
+    out = unpack_ternary(body, 7, values)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out, [-1.5, 0, 1.5, 1.5, 0, -1.5, 0])
+
+
+#: Zero-quintet run lengths around the 14-quintet chunk boundary.
+RUN_LENGTHS = (1, 2, 13, 14, 15, 28, 29)
+literals = st.lists(st.integers(0, 242).filter(lambda b: b != ZERO_QUINTET),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def quintet_bodies(draw):
+    """Alternating literal stretches and zero runs, in either order."""
+    parts = []
+    zero_next = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 6))):
+        if zero_next:
+            run = draw(st.sampled_from(RUN_LENGTHS) | st.integers(1, 45))
+            parts.append([ZERO_QUINTET] * run)
+        else:
+            parts.append(draw(literals))
+        zero_next = not zero_next
+    return np.asarray([b for part in parts for b in part], dtype=np.uint8)
+
+
+def check_rle(body):
+    encoded = rle_encode(body)
+    assert_identical(encoded, oracle.rle_encode(body))
+    assert_identical(rle_decode(encoded), body)
+    assert_identical(oracle.rle_decode(encoded), body)
+
+
+@given(body=quintet_bodies())
+@settings(max_examples=300, deadline=None)
+def test_rle_matches_oracle(body):
+    check_rle(body)
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("run", RUN_LENGTHS)
+def test_rle_runs_at_chunk_boundaries(run, where):
+    zeros = [ZERO_QUINTET] * run
+    body = {"start": zeros + [7, 200],
+            "middle": [7] + zeros + [200],
+            "end": [7, 200] + zeros}[where]
+    check_rle(np.asarray(body, dtype=np.uint8))
+
+
+def test_rle_chunking_rule():
+    """Runs split into 14-quintet chunks; a 1-quintet remainder stays 121."""
+    expect = {1: [121], 2: [243], 13: [254], 14: [255], 15: [255, 121],
+              28: [255, 255], 29: [255, 255, 121], 30: [255, 255, 243]}
+    for run, codes in expect.items():
+        body = np.full(run, ZERO_QUINTET, dtype=np.uint8)
+        np.testing.assert_array_equal(rle_encode(body), codes)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 13, 14, 15, 27, 28, 29, 100])
+def test_rle_all_zero_and_zero_free_bodies(size):
+    check_rle(np.full(size, ZERO_QUINTET, dtype=np.uint8))
+    rng = np.random.default_rng(size)
+    free = rng.integers(0, 242, size, dtype=np.uint8)
+    free[free == ZERO_QUINTET] = 0
+    check_rle(free)
+    assert_identical(rle_encode(free), free)
+
+
+@given(stream=st.lists(st.integers(0, 255), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_rle_decode_matches_oracle_on_any_stream(stream):
+    stream = np.asarray(stream, dtype=np.uint8)
+    assert_identical(rle_decode(stream), oracle.rle_decode(stream))
