@@ -2,9 +2,10 @@
 
 Two operator-facing tools wrapped in one script:
 
-1. export an iteration's full task timeline (GPU compute, compression
-   kernels, host CPU, network transfers per node) as a Chrome trace --
-   open it at chrome://tracing or https://ui.perfetto.dev;
+1. export an iteration's full timeline (GPU compute, encode/decode/merge
+   kernels, network transfers per node) as a Chrome trace through the
+   telemetry exporter -- open it at chrome://tracing or
+   https://ui.perfetto.dev;
 2. compare the peak communication-buffer memory of the OSS integration
    against HiPress (§5: CompLL "only allocates buffers for the much
    smaller compressed gradients").
@@ -19,6 +20,7 @@ from repro.experiments import run_system
 from repro.hipress import TrainingJob
 from repro.models import get_model
 from repro.strategies import CaSyncPS
+from repro.telemetry import TelemetryCollector, write_chrome_trace
 from repro.training.trace import trace_iteration
 
 MB = 1024 * 1024
@@ -29,18 +31,20 @@ def export_trace(path: str):
     cluster = ec2_v100_cluster(4)
     job = TrainingJob(model="vgg19", algorithm="onebit",
                       strategy="casync-ps", cluster=cluster)
+    tel = TelemetryCollector()
     trace = trace_iteration(get_model("vgg19"), cluster, CaSyncPS(),
                             algorithm=job.algorithm, plans=job.plans,
-                            use_coordinator=True, batch_compression=True)
-    with open(path, "w") as fh:
-        fh.write(trace.to_chrome_trace())
-    lanes = {}
-    for event in trace.events:
-        lanes[event.lane] = lanes.get(event.lane, 0) + 1
-    print(f"  wrote {len(trace.events)} events "
+                            use_coordinator=True, batch_compression=True,
+                            telemetry=tel)
+    write_chrome_trace(tel, path)
+    tracks = {}
+    for span in tel.spans:
+        kind = span.track.split("/", 1)[-1]
+        tracks[kind] = tracks.get(kind, 0) + 1
+    print(f"  wrote {len(tel.spans)} spans "
           f"(iteration {trace.finish_time * 1000:.1f} ms) to {path}")
-    for lane, count in sorted(lanes.items()):
-        print(f"    {lane:16s} {count:5d} events")
+    for kind, count in sorted(tracks.items()):
+        print(f"    {kind:16s} {count:5d} spans")
     print(f"  open {path} in chrome://tracing or ui.perfetto.dev")
 
 

@@ -1,7 +1,6 @@
 """HiPress: the top-level compression-aware training framework facade."""
 
-# Accordion moved into the adaptive control plane; the old
-# repro.hipress.adaptive path is a warning shim.
+# Accordion lives in the adaptive control plane; re-exported here.
 from ..adaptive.accordion import AccordionController, AdaptiveAlgorithm
 from .framework import Profile, TrainingJob
 

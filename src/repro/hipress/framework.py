@@ -30,8 +30,7 @@ from ..cluster import (CLUSTER_PRESETS, ClusterSpec, ec2_v100_cluster,
 from ..errors import ConfigError
 from ..experiments.common import default_algorithm
 from ..models import MODEL_NAMES, ModelSpec, get_model
-from ..strategies import (CaSyncPS, CaSyncRing, Strategy, get_strategy,
-                          resolve_strategy_name)
+from ..strategies import Strategy, get_strategy
 from ..telemetry import TelemetryCollector
 from ..training import IterationResult, simulate_iteration
 
@@ -60,12 +59,6 @@ class TrainingJob:
         print(result.throughput, job.plans["bert-large.g000"].partitions)
     """
 
-    #: Deprecated: kept for import compatibility.  Strategy lookup now goes
-    #: through :mod:`repro.strategies.registry`; only the planner preset
-    #: per CaSync flavour lives here.
-    STRATEGIES = {"casync-ps": (CaSyncPS, "ps_colocated"),
-                  "casync-ring": (CaSyncRing, "ring")}
-
     PLANNER_KINDS = {"casync-ps": "ps_colocated", "casync-ring": "ring"}
 
     def __init__(self, model, algorithm=None,
@@ -73,8 +66,7 @@ class TrainingJob:
                  cluster: Union[ClusterSpec, str, None] = None,
                  algorithm_params: Optional[Dict] = None,
                  policy: Union[CompressionPolicy, str, None] = None):
-        name = resolve_strategy_name(strategy)   # warns on hipress-* aliases
-        if name not in self.PLANNER_KINDS:
+        if strategy not in self.PLANNER_KINDS:
             raise ConfigError("strategy", strategy, self.PLANNER_KINDS)
         if isinstance(model, str):
             try:
@@ -114,7 +106,7 @@ class TrainingJob:
                                   available_algorithms()) from None
         else:
             self.algorithm = algorithm
-        self.strategy_name = name
+        self.strategy_name = strategy
         if isinstance(cluster, str):
             try:
                 cluster = get_cluster(cluster)
@@ -122,7 +114,7 @@ class TrainingJob:
                 raise ConfigError("cluster", cluster,
                                   CLUSTER_PRESETS) from None
         self.cluster = cluster or ec2_v100_cluster()
-        self._planner_kind = self.PLANNER_KINDS[name]
+        self._planner_kind = self.PLANNER_KINDS[strategy]
         self._plans: Optional[Dict[str, GradientPlan]] = None
         self._profile: Optional[Profile] = None
 

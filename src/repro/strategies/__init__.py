@@ -3,9 +3,9 @@
 All concrete strategies are registered in the strategy registry
 (:mod:`repro.strategies.registry`), so callers can look them up by name
 ("byteps", "ring", "byteps-oss", "ring-oss", "casync-ps", "casync-ring")
-the same way compression algorithms are looked up.  The historical
-"hipress-ps" / "hipress-ring" names still resolve, with a
-DeprecationWarning.
+the same way compression algorithms are looked up.  The paper's
+"hipress-ps" / "hipress-ring" are *system* names
+(:data:`repro.experiments.common.SYSTEMS`), not strategy names.
 """
 
 from .base import (MembershipBound, Strategy, SyncContext, TaskBuilder,
@@ -14,11 +14,9 @@ from .casync import CaSyncPS, CaSyncRing
 from .oss import BytePSOSSCompression, RingOSSCompression
 from .ps import BytePS, partition_sizes
 from .registry import (
-    DEPRECATED_ALIASES,
     available_strategies,
     get_strategy,
     register_strategy,
-    resolve_strategy_name,
 )
 from .ring import RingAllreduce, bucketize
 
@@ -34,7 +32,6 @@ __all__ = [
     "BytePSOSSCompression",
     "CaSyncPS",
     "CaSyncRing",
-    "DEPRECATED_ALIASES",
     "MembershipBound",
     "RingAllreduce",
     "RingOSSCompression",
@@ -47,5 +44,4 @@ __all__ = [
     "get_strategy",
     "partition_sizes",
     "register_strategy",
-    "resolve_strategy_name",
 ]

@@ -26,13 +26,16 @@ set of ranks; elasticity lives *above* it.  :func:`run_elastic` walks a
 Determinism: everything here is a pure function of (model, cluster,
 schedule, strategy config), so the same seeded churn schedule replays to
 bit-identical per-epoch trace hashes (:func:`elastic_trace_hashes`) --
-the contract tests/test_elastic_properties.py locks in.
+the contract tests/test_elastic_properties.py locks in.  Both functions
+walk one epoch loop (steps 1-4) and differ only in what they keep of a
+round: :func:`run_elastic` its metrics, :func:`elastic_trace_hashes` the
+hash of its event timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..cluster import ClusterSpec
 from ..errors import ConfigError
@@ -152,10 +155,45 @@ def epoch_inputs(model: ModelSpec, cluster: ClusterSpec,
     return roster, sub, FaultSchedule(crashes)
 
 
-def _epoch_strategy(strategy: Strategy, make_strategy, roster: Roster,
-                    epoch: int) -> Strategy:
-    fresh = make_strategy() if make_strategy is not None else strategy
-    return bind_roster(fresh, roster.nodes, epoch=epoch)
+def _epoch_rounds(run_round, model: ModelSpec, cluster: ClusterSpec,
+                  strategy: Strategy, schedule: MembershipSchedule,
+                  epochs: Optional[int], algorithm, planner_kind,
+                  retry_policy: Optional[RetryPolicy],
+                  epoch_horizon_s: Optional[float],
+                  min_roster: Optional[int], make_strategy,
+                  **round_kwargs) -> Iterator[tuple]:
+    """The per-epoch loop :func:`run_elastic` and
+    :func:`elastic_trace_hashes` share.
+
+    For every epoch: derive its inputs (:func:`epoch_inputs`), re-bind the
+    strategy to the roster, re-plan, pick the retry policy, and run the
+    round with ``run_round``.  Yields ``(epoch, roster, sub-cluster,
+    round result, abort)``, where exactly one of the last two is None.
+    """
+    total = schedule.epochs() if epochs is None else epochs
+    if total < 1:
+        raise ValueError(f"epochs must be >= 1, got {total}")
+    for epoch in range(total):
+        roster, sub, crashes = epoch_inputs(
+            model, cluster, schedule, epoch, min_roster=min_roster,
+            epoch_horizon_s=epoch_horizon_s)
+        fresh = make_strategy() if make_strategy is not None else strategy
+        bound = bind_roster(fresh, roster.nodes, epoch=epoch)
+        plans = None
+        if algorithm is not None and planner_kind is not None:
+            plans = make_plans(model, sub, algorithm, planner_kind)
+        policy = retry_policy
+        if crashes and policy is None:
+            policy = RetryPolicy.aggressive()
+        try:
+            result = run_round(
+                model, sub, bound, algorithm=algorithm, plans=plans,
+                fault_schedule=crashes if crashes else None,
+                retry_policy=policy, **round_kwargs)
+        except SyncAborted as abort:
+            yield epoch, roster, sub, None, abort
+            continue
+        yield epoch, roster, sub, result, None
 
 
 def run_elastic(model: ModelSpec, cluster: ClusterSpec,
@@ -189,46 +227,29 @@ def run_elastic(model: ModelSpec, cluster: ClusterSpec,
     ``sync_deadline_s`` round deadline): they complete degraded or are
     recorded as aborted -- a typed outcome either way.
     """
-    total = schedule.epochs() if epochs is None else epochs
-    if total < 1:
-        raise ValueError(f"epochs must be >= 1, got {total}")
     outcomes: List[EpochOutcome] = []
     total_time = 0.0
     samples = 0.0
-    for epoch in range(total):
-        roster, sub, crashes = epoch_inputs(
-            model, cluster, schedule, epoch, min_roster=min_roster,
-            epoch_horizon_s=epoch_horizon_s)
-        bound = _epoch_strategy(strategy, make_strategy, roster, epoch)
-        plans = None
-        if algorithm is not None and planner_kind is not None:
-            plans = make_plans(model, sub, algorithm, planner_kind)
-        policy = retry_policy
-        if crashes and policy is None:
-            policy = RetryPolicy.aggressive()
-        try:
-            result = simulate_iteration(
-                model, sub, bound, algorithm=algorithm, plans=plans,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression,
-                fault_schedule=crashes if crashes else None,
-                retry_policy=policy,
-                sync_deadline_s=sync_deadline_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                pass_config=pass_config)
-        except SyncAborted as abort:
+    for epoch, roster, sub, result, abort in _epoch_rounds(
+            simulate_iteration, model, cluster, strategy, schedule, epochs,
+            algorithm, planner_kind, retry_policy, epoch_horizon_s,
+            min_roster, make_strategy, use_coordinator=use_coordinator,
+            batch_compression=batch_compression,
+            sync_deadline_s=sync_deadline_s,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            pass_config=pass_config):
+        departures = schedule.departures_during(epoch)
+        if abort is not None:
             elapsed = (sync_deadline_s if sync_deadline_s is not None
                        else 0.0)
             outcomes.append(EpochOutcome(
-                epoch=epoch, roster=roster.nodes,
-                departures=schedule.departures_during(epoch),
+                epoch=epoch, roster=roster.nodes, departures=departures,
                 status="aborted", elapsed_s=elapsed, cluster=sub.name,
                 abort_reason=str(abort)))
             total_time += elapsed
             continue
         outcomes.append(EpochOutcome(
-            epoch=epoch, roster=roster.nodes,
-            departures=schedule.departures_during(epoch),
+            epoch=epoch, roster=roster.nodes, departures=departures,
             status="ok", elapsed_s=result.iteration_time,
             cluster=sub.name, result=result))
         total_time += result.iteration_time
@@ -251,41 +272,31 @@ def elastic_trace_hashes(model: ModelSpec, cluster: ClusterSpec,
                          sync_deadline_s: Optional[float] = None,
                          heartbeat_timeout_s: float = 0.02,
                          epoch_horizon_s: Optional[float] = None,
-                         make_strategy=None) -> Tuple[str, ...]:
+                         min_roster: Optional[int] = None,
+                         make_strategy=None,
+                         pass_config=None) -> Tuple[str, ...]:
     """Per-epoch trace hashes of an elastic run (determinism proofs).
 
-    The canonical event timeline of every epoch's round, hashed -- two
-    replays of the same (model, cluster, schedule, strategy) must match
-    bit for bit, and a static schedule's hashes must equal the plain
-    (non-elastic) tracer's.  An epoch whose round aborts hashes the
-    typed abort instead (``aborted:<reason class>``), so replay
+    Takes :func:`run_elastic`'s options and walks the same epoch loop,
+    hashing each round's canonical event timeline instead of its metrics
+    -- two replays of the same (model, cluster, schedule, strategy) must
+    match bit for bit, and a static schedule's hashes must equal the
+    plain (non-elastic) tracer's.  An epoch whose round aborts hashes
+    the typed abort instead (``aborted:<reason class>``), so replay
     determinism covers failed rounds too.
     """
-    total = schedule.epochs() if epochs is None else epochs
     hashes: List[str] = []
-    for epoch in range(total):
-        roster, sub, crashes = epoch_inputs(
-            model, cluster, schedule, epoch,
-            epoch_horizon_s=epoch_horizon_s)
-        bound = _epoch_strategy(strategy, make_strategy, roster, epoch)
-        plans = None
-        if algorithm is not None and planner_kind is not None:
-            plans = make_plans(model, sub, algorithm, planner_kind)
-        policy = retry_policy
-        if crashes and policy is None:
-            policy = RetryPolicy.aggressive()
-        try:
-            trace = trace_iteration(
-                model, sub, bound, algorithm=algorithm, plans=plans,
-                use_coordinator=use_coordinator,
-                batch_compression=batch_compression,
-                fault_schedule=crashes if crashes else None,
-                retry_policy=policy,
-                sync_deadline_s=sync_deadline_s,
-                heartbeat_timeout_s=heartbeat_timeout_s)
-        except SyncAborted as abort:
+    for _epoch, roster, _sub, trace, abort in _epoch_rounds(
+            trace_iteration, model, cluster, strategy, schedule, epochs,
+            algorithm, planner_kind, retry_policy, epoch_horizon_s,
+            min_roster, make_strategy, use_coordinator=use_coordinator,
+            batch_compression=batch_compression,
+            sync_deadline_s=sync_deadline_s,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            pass_config=pass_config):
+        if abort is not None:
             hashes.append(f"aborted:{type(abort).__name__}:"
                           f"{roster.token()}")
-            continue
-        hashes.append(trace_hash(trace))
+        else:
+            hashes.append(trace_hash(trace))
     return tuple(hashes)

@@ -12,6 +12,10 @@ intra-node aggregation), with synchronization overlapping backward exactly
 as far as the strategy's task dependencies allow.  The iteration ends when
 every node holds every aggregated gradient (BSP barrier) and the optimizer
 step has been applied.
+
+The round is built and run in one place, ``_run_round``;
+:func:`simulate_iteration` reads its metrics off the settled round and
+:func:`~repro.training.trace.trace_iteration` its event timeline.
 """
 
 from __future__ import annotations
@@ -159,6 +163,107 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
     it never creates simulation events -- so results and trace hashes are
     identical with and without a collector, and with none attached the
     instrumentation is a single pointer test per site.
+    """
+    rnd = _run_round(
+        model, cluster, strategy, algorithm=algorithm, plans=plans,
+        use_coordinator=use_coordinator,
+        batch_compression=batch_compression,
+        local_aggregation=local_aggregation, straggler=straggler,
+        fault_schedule=fault_schedule, retry_policy=retry_policy,
+        degradation=degradation, sync_deadline_s=sync_deadline_s,
+        heartbeat_timeout_s=heartbeat_timeout_s, telemetry=telemetry,
+        pass_config=pass_config, decisions=decisions)
+    fabric, gpus, tel = rnd.fabric, rnd.gpus, rnd.telemetry
+    compute_time = rnd.compute_time
+    iteration_time = rnd.end + compute_time * OPTIMIZER_FRACTION
+
+    comm_busy = sum(nic.up_busy for nic in fabric.nics)
+    comm_ratio = (comm_busy / cluster.num_nodes) / iteration_time
+    measured_bw = (fabric.stats.bytes_sent / comm_busy
+                   if comm_busy > 0 else 0.0)
+    compression_time = (sum(g.log.busy_time("compression") for g in gpus)
+                        / cluster.num_nodes)
+    exposed = max(0.0, iteration_time - compute_time)
+    util = tuple(gpus[0].log.utilization_series(
+        bin_width=util_bin_s, horizon=iteration_time, category="compute"))
+    peaks = peak_buffer_memory(rnd.graph)
+    peak_memory = max(peaks.values()) if peaks else 0.0
+
+    if tel is not None:
+        iter_span = tel.begin(
+            f"iteration:{model.name}", category="iteration",
+            track="sim/iteration", at=0.0, strategy=strategy.name,
+            num_nodes=cluster.num_nodes)
+        tel.finish(iter_span, iteration_time)
+        labels = {"model": model.name, "strategy": strategy.name}
+        tel.metrics.counter("training.iterations").inc()
+        tel.metrics.gauge("training.iteration_time_s", **labels).set(
+            iteration_time)
+        tel.metrics.gauge("training.compute_time_s", **labels).set(
+            compute_time)
+        tel.metrics.gauge("training.comm_ratio", **labels).set(
+            min(1.0, comm_ratio))
+        tel.metrics.gauge("training.exposed_sync_s", **labels).set(exposed)
+        tel.metrics.gauge("training.compression_s", **labels).set(
+            compression_time)
+
+    coordinator = rnd.coordinator
+    return IterationResult(
+        model=model.name,
+        strategy=strategy.name,
+        num_nodes=cluster.num_nodes,
+        gpus_per_node=cluster.node.gpus_per_node,
+        iteration_time=iteration_time,
+        compute_time=compute_time,
+        batch_size=model.batch_size,
+        comm_ratio=min(1.0, comm_ratio),
+        exposed_sync_time=exposed,
+        compression_time=compression_time,
+        gpu_util_series=util,
+        coordinator_batches=coordinator.batches_flushed if coordinator else 0,
+        peak_comm_buffer_bytes=peak_memory,
+        fault_report=rnd.report,
+        measured_link_bandwidth=measured_bw,
+    )
+
+
+@dataclass
+class _Round:
+    """One simulated round, settled, for its caller to read results from."""
+
+    fabric: Fabric
+    gpus: List[Gpu]
+    graph: TaskGraph
+    coordinator: Optional[Coordinator]
+    report: Optional[RobustSyncReport]
+    telemetry: Optional[TelemetryCollector]
+    #: When the synchronization graph completed.
+    finish: float
+    #: ``max(finish, clock)`` once every node's compute has drained, taken
+    #: before background retries settle.
+    end: float
+    #: The slowest node's compute time, optimizer step included.
+    compute_time: float
+
+
+def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy, *,
+               algorithm: Optional[CompressionAlgorithm],
+               plans: Optional[Dict[str, GradientPlan]],
+               use_coordinator: bool, batch_compression: bool,
+               local_aggregation: bool,
+               straggler: Optional[Tuple[int, float]],
+               fault_schedule: Optional[FaultSchedule],
+               retry_policy: Optional[RetryPolicy], degradation: bool,
+               sync_deadline_s: Optional[float], heartbeat_timeout_s: float,
+               telemetry: Optional[TelemetryCollector],
+               pass_config: Optional[PassConfig], decisions) -> _Round:
+    """Build the simulated world, run one BSP round on it, and settle it.
+
+    The only place a round's environment, fabric, GPUs, coordinator and
+    node engines are built: :func:`simulate_iteration` derives its metrics
+    from the returned round and
+    :func:`~repro.training.trace.trace_iteration` its event timeline, so
+    the golden trace hashes certify the driver every experiment runs.
     """
     if straggler is not None:
         node_idx, factor = straggler
@@ -318,64 +423,18 @@ def simulate_iteration(model: ModelSpec, cluster: ClusterSpec,
             yield env.all_of(node_procs)
 
     env.run_until_complete(env.process(drain(), name="drain"))
-    iteration_time = max(finish, env.now) + compute_time * OPTIMIZER_FRACTION
+    end = max(finish, env.now)
     if robust:
         # Let background retries/backoffs/timers play out so the transfer
         # ledger settles (byte conservation is checked over a quiescent
         # trace).  The clock this runs up is deliberately NOT part of the
-        # iteration time, which was captured above.
+        # round's end, which was captured above.
         env.run()
-        if report is not None:
-            report.declared_dead = membership.dead()
-            report.retries = sum(e.retries for e in engines)
-
-    comm_busy = sum(nic.up_busy for nic in fabric.nics)
-    comm_ratio = (comm_busy / cluster.num_nodes) / iteration_time
-    measured_bw = (fabric.stats.bytes_sent / comm_busy
-                   if comm_busy > 0 else 0.0)
-    compression_time = (sum(g.log.busy_time("compression") for g in gpus)
-                        / cluster.num_nodes)
-    exposed = max(0.0, iteration_time - compute_time)
-    util = tuple(gpus[0].log.utilization_series(
-        bin_width=util_bin_s, horizon=iteration_time, category="compute"))
-    peaks = peak_buffer_memory(graph)
-    peak_memory = max(peaks.values()) if peaks else 0.0
-
-    if tel is not None:
-        iter_span = tel.begin(
-            f"iteration:{model.name}", category="iteration",
-            track="sim/iteration", at=0.0, strategy=strategy.name,
-            num_nodes=cluster.num_nodes)
-        tel.finish(iter_span, iteration_time)
-        labels = {"model": model.name, "strategy": strategy.name}
-        tel.metrics.counter("training.iterations").inc()
-        tel.metrics.gauge("training.iteration_time_s", **labels).set(
-            iteration_time)
-        tel.metrics.gauge("training.compute_time_s", **labels).set(
-            compute_time)
-        tel.metrics.gauge("training.comm_ratio", **labels).set(
-            min(1.0, comm_ratio))
-        tel.metrics.gauge("training.exposed_sync_s", **labels).set(exposed)
-        tel.metrics.gauge("training.compression_s", **labels).set(
-            compression_time)
-
-    return IterationResult(
-        model=model.name,
-        strategy=strategy.name,
-        num_nodes=cluster.num_nodes,
-        gpus_per_node=cluster.node.gpus_per_node,
-        iteration_time=iteration_time,
-        compute_time=compute_time,
-        batch_size=model.batch_size,
-        comm_ratio=min(1.0, comm_ratio),
-        exposed_sync_time=exposed,
-        compression_time=compression_time,
-        gpu_util_series=util,
-        coordinator_batches=coordinator.batches_flushed if coordinator else 0,
-        peak_comm_buffer_bytes=peak_memory,
-        fault_report=report,
-        measured_link_bandwidth=measured_bw,
-    )
+        report.declared_dead = membership.dead()
+        report.retries = sum(e.retries for e in engines)
+    return _Round(fabric=fabric, gpus=gpus, graph=graph,
+                  coordinator=coordinator, report=report, telemetry=tel,
+                  finish=finish, end=end, compute_time=compute_time)
 
 
 def scaling_efficiency(result: IterationResult) -> float:

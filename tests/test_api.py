@@ -3,11 +3,8 @@
 The facade contract: ``from repro import TrainingJob`` works (lazily),
 every name in ``repro.api.__all__`` resolves, unknown configuration
 strings raise a typed :class:`ConfigError` that names the valid choices,
-and the historical "hipress-*" strategy names keep working behind a
-DeprecationWarning.
+and the "hipress-*" names are systems, never strategies.
 """
-
-import warnings
 
 import pytest
 
@@ -27,11 +24,9 @@ from repro import (
 )
 from repro.strategies import (
     CaSyncPS,
-    DEPRECATED_ALIASES,
     Strategy,
     available_strategies,
     register_strategy,
-    resolve_strategy_name,
 )
 from repro.strategies.registry import _REGISTRY
 
@@ -128,31 +123,19 @@ def test_register_strategy_rejects_duplicates_and_aliases():
         with pytest.raises(ValueError, match="already registered"):
             register_strategy("custom-test", Custom)
         register_strategy("custom-test", Custom, overwrite=True)
-        with pytest.raises(ValueError, match="deprecated alias"):
-            register_strategy("hipress-ps", Custom)
     finally:
         _REGISTRY.pop("custom-test", None)
 
 
-def test_deprecated_strategy_names_resolve_with_warning():
-    assert DEPRECATED_ALIASES == {"hipress-ps": "casync-ps",
-                                  "hipress-ring": "casync-ring"}
-    for old, new in DEPRECATED_ALIASES.items():
-        with pytest.warns(DeprecationWarning, match=new):
-            assert resolve_strategy_name(old) == new
-        with pytest.warns(DeprecationWarning):
-            strategy = get_strategy(old)
-        assert strategy.name == new
-    # canonical names warn nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_strategy_name("casync-ps") == "casync-ps"
-
-
-def test_training_job_accepts_deprecated_strategy_names():
-    with pytest.warns(DeprecationWarning):
-        job = TrainingJob("resnet50", strategy="hipress-ring")
-    assert job.strategy_name == "casync-ring"
+def test_hipress_names_are_systems_not_strategies():
+    with pytest.raises(KeyError) as err:
+        get_strategy("hipress-ps")
+    assert "casync-ps" in str(err.value) and "casync-ring" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        TrainingJob("resnet50", strategy="hipress-ring")
+    assert err.value.kind == "strategy"
+    assert err.value.choices == ("casync-ps", "casync-ring")
+    assert {"hipress-ps", "hipress-ring"} <= set(SYSTEMS)
 
 
 # -- systems + clusters -----------------------------------------------------

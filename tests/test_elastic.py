@@ -21,8 +21,10 @@ Unit and integration coverage for the elastic-membership subsystem
 
 import pytest
 
+from repro.algorithms import OneBit
 from repro.casync.lower import GraphCache, cache_key, lower_plan
-from repro.casync.passes import MembershipPass, PassContext, build_plan
+from repro.casync.passes import (MembershipPass, PassConfig, PassContext,
+                                 build_plan)
 from repro.cluster import ec2_v100_cluster, get_cluster
 from repro.errors import ConfigError
 from repro.experiments import elastic as elastic_artifact
@@ -373,6 +375,49 @@ class TestRunElastic:
                              epochs=2)
         assert [len(e.roster) for e in report.epochs] == [4, 3]
         assert report.epochs[0].departures == ((2, 0.5),)
+
+    def test_min_roster_fails_both_drivers_at_the_same_epoch(self):
+        model = tiny_model()
+        cluster = ec2_v100_cluster(4)
+        sched = MembershipSchedule(
+            num_nodes=4,
+            events=(NodeLeave(at=1.0, node=3), NodeLeave(at=2.0, node=2)))
+        errors = []
+        for driver in (run_elastic, elastic_trace_hashes):
+            with pytest.raises(ConfigError) as err:
+                driver(model, cluster, get_strategy("ring"), sched,
+                       epochs=3, min_roster=3)
+            errors.append(err.value)
+        assert [e.kind for e in errors] == ["roster", "roster"]
+        assert "epoch 2's roster" in str(errors[0])
+        assert str(errors[0]) == str(errors[1])
+
+    @pytest.mark.parametrize("config,changes", [
+        (PassConfig(coordinator_timeout_s=0.005), True),
+        (PassConfig(fanin_collapse_threshold=200), False),
+    ], ids=["coordinator-timeout", "fanin-threshold"])
+    def test_pass_config_moves_hashes_with_elapsed(self, config, changes):
+        model = tiny_model()
+        cluster = ec2_v100_cluster(4)
+        sched = MembershipSchedule(
+            num_nodes=4,
+            events=(NodeLeave(at=1.0, node=3), NodeJoin(at=2.0, node=3)))
+
+        def run(pass_config):
+            kw = dict(epochs=3, algorithm=OneBit(), use_coordinator=True,
+                      batch_compression=True, pass_config=pass_config)
+            report = run_elastic(
+                model, cluster, get_strategy("casync-ps", selective=False),
+                sched, **kw)
+            hashes = elastic_trace_hashes(
+                model, cluster, get_strategy("casync-ps", selective=False),
+                sched, **kw)
+            return [e.elapsed_s for e in report.epochs], hashes
+
+        base_elapsed, base_hashes = run(None)
+        elapsed, hashes = run(config)
+        assert (elapsed != base_elapsed) == changes
+        assert (hashes != base_hashes) == changes
 
     def test_infeasible_fleet_is_typed(self):
         model = tiny_model()

@@ -1,6 +1,4 @@
-"""Tests for the Chrome-trace export of simulated iterations."""
-
-import json
+"""Tests for the event timeline of simulated iterations."""
 
 import pytest
 
@@ -8,7 +6,10 @@ from repro.algorithms import OneBit
 from repro.cluster import ec2_v100_cluster
 from repro.models import GradientSpec, ModelSpec
 from repro.strategies import CaSyncPS, RingAllreduce
-from repro.training import make_plans
+from repro.telemetry import (TelemetryCollector, parse_chrome_trace,
+                             to_chrome_trace)
+from repro.training import make_plans, simulate_iteration
+from repro.training.loop import OPTIMIZER_FRACTION
 from repro.training.trace import trace_iteration
 
 MB = 1024 * 1024
@@ -53,14 +54,15 @@ def test_trace_compute_covers_model_time():
     assert compute == pytest.approx(0.01, rel=0.05)
 
 
-def test_trace_chrome_json_valid():
-    trace = run_trace(strategy=CaSyncPS(selective=False),
-                      algorithm=OneBit())
-    doc = json.loads(trace.to_chrome_trace())
-    assert doc["traceEvents"]
-    sample = doc["traceEvents"][0]
-    assert set(sample) >= {"name", "ph", "ts", "dur", "pid", "tid"}
-    assert sample["ph"] == "X"
+def test_trace_exports_through_telemetry_chrome_exporter():
+    tel = TelemetryCollector()
+    run_trace(strategy=CaSyncPS(selective=False), algorithm=OneBit(),
+              telemetry=tel)
+    spans = parse_chrome_trace(to_chrome_trace(tel))["spans"]
+    tracks = {(span["node"], span["track"]) for span in spans}
+    for node in range(3):
+        for track in ("gpu-compute", "encode", "transfer"):
+            assert (node, f"node{node}/{track}") in tracks, (node, track)
 
 
 def test_trace_network_events_carry_transfers():
@@ -76,3 +78,18 @@ def test_trace_events_on_filters():
     net_node0 = trace.events_on(0, "network")
     assert len(net_node0) <= len(all_node0)
     assert all(e.node == 0 for e in all_node0)
+
+
+@pytest.mark.parametrize("make_strategy,algorithm", [
+    (RingAllreduce, None),
+    (lambda: CaSyncPS(selective=False), OneBit()),
+], ids=["ring", "casync-ps-onebit"])
+def test_trace_and_simulate_run_one_round(make_strategy, algorithm):
+    model = tiny_model()
+    cluster = ec2_v100_cluster(3)
+    result = simulate_iteration(model, cluster, make_strategy(),
+                                algorithm=algorithm, local_aggregation=False)
+    trace = trace_iteration(model, cluster, make_strategy(),
+                            algorithm=algorithm)
+    assert result.iteration_time == (
+        trace.finish_time + result.compute_time * OPTIMIZER_FRACTION)
