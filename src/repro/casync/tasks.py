@@ -280,7 +280,7 @@ class Coordinator:
         batched path is indistinguishable except for speed.
         """
         return (self.retry_policy is None
-                and self.env.engine.vector_bulk
+                and self.env.fast_paths
                 and self.env.telemetry is None
                 and self.fabric.faults is None)
 
@@ -491,7 +491,7 @@ class NodeEngine:
             elif self.retry_policy is not None:
                 self.env.process(self._robust_send(task),
                                  name=f"send@{self.node}:{task.label}")
-            elif (self.env.engine.inline_sends
+            elif (self.env.fast_paths
                   and self.env.telemetry is None
                   and self.fabric.faults is None):
                 self._send_inline(task)

@@ -612,8 +612,8 @@ class Fabric:
           firing at its delivery instant with ``(src, dst, nbytes)`` as
           value.
 
-        When a :class:`FaultState` is attached (or the engine's
-        ``vector_bulk`` knob is off) the batch falls back to one
+        When a :class:`FaultState` is attached (or the environment runs
+        the heap oracle engine) the batch falls back to one
         :meth:`transfer` process per message, so crash/partition semantics
         -- including aborting mid-bulk -- are exactly the per-message
         ones; fallback completion events are the transfer processes
@@ -628,38 +628,12 @@ class Fabric:
             return None if handler is not None else []
         self._check_active_bulk(transfers)
         env = self.env
-        if self.faults is not None or not env.engine.vector_bulk:
+        if self.faults is not None or not env.fast_paths:
             return self._bulk_fallback(transfers, handler)
         now = env.now
-        srcs, dsts, sizes = self._bulk_arrays(transfers, n)
-        loop = srcs == dsts
-        if loop.any():
-            wire = np.flatnonzero(~loop)
-            wire_srcs, wire_dsts = srcs[wire], dsts[wire]
-            wire_sizes = sizes[wire]
-        else:
-            wire = None
-            wire_srcs, wire_dsts, wire_sizes = srcs, dsts, sizes
-        # Per-message serialization at each endpoint's own link rate, and
-        # the slower endpoint's wire latency.  With a uniform spec every
-        # gathered rate/latency equals the old scalar, so the elementwise
-        # arithmetic is bit-identical to the scalar broadcast it replaced.
-        up_ser = wire_sizes / self._up_rates[wire_srcs]
-        down_ser = wire_sizes / self._down_rates[wire_dsts]
-        wire_lat = np.maximum(self._latencies[wire_srcs],
-                              self._latencies[wire_dsts])
-        up_finish = self._reserve_direction(wire_srcs, up_ser, now,
-                                            up=True)
-        down_finish = self._reserve_direction(wire_dsts, down_ser, now,
-                                              up=False)
-        wire_delays = (np.maximum(up_finish, down_finish)
-                       + wire_lat - now)
-        if wire is None:
-            delays = wire_delays.tolist()
-        else:
-            full = np.zeros(n, dtype=np.float64)
-            full[wire] = wire_delays
-            delays = full.tolist()
+        srcs, dsts, sizes, delivery, loop = self._bulk_reserve(transfers, n)
+        # (finish + latency) - now: the delay transfer() waits, bit for bit.
+        delays = (delivery - now).tolist()
         loop_list = loop.tolist()
         src_list = srcs.tolist()
         size_list = sizes.tolist()
@@ -713,6 +687,47 @@ class Fabric:
         if np.any(sizes < 0):
             raise ValueError("negative transfer size in bulk")
         return srcs, dsts, sizes
+
+    def _bulk_reserve(self, transfers: Sequence[Tuple[int, int, float]],
+                      n: int) -> Tuple["np.ndarray", "np.ndarray",
+                                       "np.ndarray", "np.ndarray",
+                                       "np.ndarray"]:
+        """Reserve NIC time for a batch issued at the current instant.
+
+        Returns ``(srcs, dsts, sizes, delivery, loop)``: the validated
+        columns, each message's absolute delivery time, and the loopback
+        mask.  Loopback messages (src == dst) use no NIC and are delivered
+        at the issue instant; every other message is delivered at
+        ``max(up_finish, down_finish) + latency``.
+        """
+        now = self.env.now
+        srcs, dsts, sizes = self._bulk_arrays(transfers, n)
+        loop = srcs == dsts
+        if loop.any():
+            wire = np.flatnonzero(~loop)
+            wire_srcs, wire_dsts = srcs[wire], dsts[wire]
+            wire_sizes = sizes[wire]
+        else:
+            wire = None
+            wire_srcs, wire_dsts, wire_sizes = srcs, dsts, sizes
+        # Per-message serialization at each endpoint's own link rate, and
+        # the slower endpoint's wire latency.  With a uniform spec every
+        # gathered rate/latency equals the old scalar, so the elementwise
+        # arithmetic is bit-identical to the scalar broadcast it replaced.
+        up_ser = wire_sizes / self._up_rates[wire_srcs]
+        down_ser = wire_sizes / self._down_rates[wire_dsts]
+        wire_lat = np.maximum(self._latencies[wire_srcs],
+                              self._latencies[wire_dsts])
+        up_finish = self._reserve_direction(wire_srcs, up_ser, now,
+                                            up=True)
+        down_finish = self._reserve_direction(wire_dsts, down_ser, now,
+                                              up=False)
+        delivery = np.maximum(up_finish, down_finish) + wire_lat
+        if wire is not None:
+            full = np.full(n, now, dtype=np.float64)
+            full[wire] = delivery
+            delivery = full
+        return srcs, dsts, sizes, delivery, loop
 
     def _reserve_direction(self, nodes: "np.ndarray",
                            serialize: "np.ndarray", now: float,
@@ -829,15 +844,15 @@ class Fabric:
 
         Per-message statistics are recorded when the event fires, in
         delivery order (ties in issue order), matching the accumulation
-        order of the per-message path.  On a faulty fabric (or with
-        ``vector_bulk`` off) the step degrades to per-message transfer
+        order of the per-message path.  On a faulty fabric (or the heap
+        oracle engine) the step degrades to per-message transfer
         processes plus a collector process, preserving per-message fault
         semantics; the collector fails if any message fails.
         """
         env = self.env
         n = len(transfers)
         self._check_active_bulk(transfers)
-        if self.faults is not None or not env.engine.vector_bulk:
+        if self.faults is not None or not env.fast_paths:
             times: List[Optional[float]] = [None] * n
 
             def note(index: int) -> None:
@@ -857,34 +872,7 @@ class Fabric:
             env.schedule(event)
             return event
         now = env.now
-        srcs, dsts, sizes = self._bulk_arrays(transfers, n)
-        loop = srcs == dsts
-        if loop.any():
-            wire = np.flatnonzero(~loop)
-            wire_srcs, wire_dsts = srcs[wire], dsts[wire]
-            up_ser = sizes[wire] / self._up_rates[wire_srcs]
-            down_ser = sizes[wire] / self._down_rates[wire_dsts]
-            wire_lat = np.maximum(self._latencies[wire_srcs],
-                                  self._latencies[wire_dsts])
-            up_finish = self._reserve_direction(wire_srcs, up_ser,
-                                                now, up=True)
-            down_finish = self._reserve_direction(wire_dsts,
-                                                  down_ser, now,
-                                                  up=False)
-            delivery = np.full(n, now, dtype=np.float64)
-            delivery[wire] = (np.maximum(up_finish, down_finish)
-                              + wire_lat)
-        else:
-            up_ser = sizes / self._up_rates[srcs]
-            down_ser = sizes / self._down_rates[dsts]
-            wire_lat = np.maximum(self._latencies[srcs],
-                                  self._latencies[dsts])
-            up_finish = self._reserve_direction(srcs, up_ser, now,
-                                                up=True)
-            down_finish = self._reserve_direction(dsts, down_ser, now,
-                                                  up=False)
-            delivery = (np.maximum(up_finish, down_finish)
-                        + wire_lat)
+        srcs, _dsts, sizes, delivery, loop = self._bulk_reserve(transfers, n)
         tel = env.telemetry
         if tel is not None:
             tel.metrics.counter("net.bulk_batches").inc()

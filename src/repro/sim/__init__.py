@@ -17,8 +17,6 @@ from .core import (
     SimEngine,
     SimulationError,
     Timeout,
-    default_engine,
-    set_default_engine,
     use_engine,
     NORMAL,
     URGENT,
@@ -44,8 +42,6 @@ __all__ = [
     "SlottedQueue",
     "Store",
     "Timeout",
-    "default_engine",
-    "set_default_engine",
     "use_engine",
     "NORMAL",
     "URGENT",

@@ -10,18 +10,18 @@ Determinism matters for a systems simulator: two events scheduled for the
 same instant are ordered by (priority, insertion sequence), so repeated runs
 of the same workload produce identical traces.
 
-The execution machinery behind that contract is selectable through
-:class:`SimEngine` (see ``docs/SIM_CORE.md``): the tuned default runs a
-slotted calendar queue with pooled kernel-internal events, while
-``SimEngine(queue="heap")`` preserves the original flat-heap engine as a
-differential oracle -- both produce bit-identical event orderings, which
-the equivalence battery in ``tests/test_engine_equivalence.py`` locks in.
+Two engines implement that contract (:class:`SimEngine`, see
+``docs/SIM_CORE.md``): the tuned default runs a slotted calendar queue,
+pooled kernel-internal events and the vectorized fast paths, while
+``HEAP_ENGINE`` preserves the original flat-heap engine as a differential
+oracle -- both produce bit-identical event orderings, which the
+equivalence battery in ``tests/test_engine_equivalence.py`` locks in.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from enum import Enum
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .queues import HeapQueue, SlottedQueue
@@ -38,8 +38,6 @@ __all__ = [
     "SimEngine",
     "DEFAULT_ENGINE",
     "HEAP_ENGINE",
-    "default_engine",
-    "set_default_engine",
     "use_engine",
     "NORMAL",
     "URGENT",
@@ -55,76 +53,54 @@ URGENT = 0
 _POOL_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class SimEngine:
-    """Execution-machinery knobs for an :class:`Environment`.
+class SimEngine(Enum):
+    """The two execution engines an :class:`Environment` can run on.
 
-    Every combination implements the identical simulation semantics (the
-    (time, priority, sequence) total order); the knobs only select *how*
-    that order is produced:
+    Both implement the identical simulation semantics (the (time,
+    priority, sequence) total order); they differ only in *how* that
+    order is produced, and every fast path reads one switch,
+    :attr:`Environment.fast_paths`:
 
-    queue: ``"slotted"`` (calendar queue, O(1) common-case insert) or
-        ``"heap"`` (the original flat binary heap, kept as the
-        differential oracle).
-    pool_events: recycle kernel-internal carrier events (process
-        initializers, immediate resumes, inline-send hops) through a
-        free list instead of allocating fresh ones.  User-visible events
-        (timeouts, conditions, task completions) are never pooled.
-    inline_sends: let :class:`~repro.casync.tasks.NodeEngine` execute
-        pristine-path send tasks as direct event hops instead of spawning
-        a generator process per message.
-    vector_bulk: let the bulk coordinator and
-        :meth:`~repro.net.fabric.Fabric.bulk_transfer` compute a whole
-        batch of transfers in one vectorized pass.
+    TUNED: the default.  A slotted calendar queue (O(1) common-case
+        insert); kernel-internal carrier events (process initializers,
+        immediate resumes, inline-send hops) recycled through a free
+        list; pristine-path sends executed by
+        :class:`~repro.casync.tasks.NodeEngine` as direct event hops; and
+        bulk transfers reserved in one vectorized NumPy pass.  User-visible
+        events (timeouts, conditions, task completions) are never pooled.
+    HEAP: the pre-refactor engine, kept as the differential oracle.  A
+        flat binary heap, a fresh event per carrier, and one generator
+        process per message.
     """
 
-    queue: str = "slotted"
-    pool_events: bool = True
-    inline_sends: bool = True
-    vector_bulk: bool = True
-
-    def __post_init__(self):
-        if self.queue not in ("slotted", "heap"):
-            raise ValueError(
-                f"unknown queue kind {self.queue!r}; use 'slotted' or 'heap'")
+    TUNED = "tuned"
+    HEAP = "heap"
 
 
 #: The tuned engine every :class:`Environment` uses by default.
-DEFAULT_ENGINE = SimEngine()
+DEFAULT_ENGINE = SimEngine.TUNED
 #: The pre-refactor engine: flat heap, no pooling, no fast paths.  The
 #: equivalence battery runs every configuration on both engines.
-HEAP_ENGINE = SimEngine(queue="heap", pool_events=False,
-                        inline_sends=False, vector_bulk=False)
+HEAP_ENGINE = SimEngine.HEAP
 
 _default_engine = DEFAULT_ENGINE
 
 
-def default_engine() -> SimEngine:
-    """The engine newly constructed environments will use."""
-    return _default_engine
-
-
-def set_default_engine(engine: SimEngine) -> SimEngine:
-    """Swap the process-wide default engine; returns the previous one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
 @contextmanager
 def use_engine(engine: SimEngine):
-    """Scope the default engine, e.g. to run a whole simulation (including
-    internally constructed environments) on the heap oracle::
+    """Scope the engine newly constructed environments use, e.g. to run a
+    whole simulation (including internally constructed environments) on
+    the heap oracle::
 
         with use_engine(HEAP_ENGINE):
             trace = trace_iteration(...)
     """
-    previous = set_default_engine(engine)
+    global _default_engine
+    previous, _default_engine = _default_engine, engine
     try:
         yield engine
     finally:
-        set_default_engine(previous)
+        _default_engine = previous
 
 
 class SimulationError(Exception):
@@ -282,7 +258,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        if env._pool_events:
+        if env.fast_paths:
             init = env._acquire_carrier(True, None)
             init.callbacks.append(self._resume)
             env.schedule(init, priority=URGENT)
@@ -346,7 +322,7 @@ class Process(Event):
         if next_event._processed:
             # Already fired: resume immediately at the current time.
             env = self.env
-            if env._pool_events:
+            if env.fast_paths:
                 immediate = env._acquire_carrier(next_event._ok,
                                                  next_event._value)
             else:
@@ -444,18 +420,21 @@ class Environment:
         env.run()
         assert env.now == 5 and p.value == "done"
 
-    ``engine`` selects the execution machinery (queue implementation,
-    event pooling, fast paths); None uses :func:`default_engine`.  All
-    engines produce bit-identical event orderings.
+    ``engine`` selects the execution machinery (:class:`SimEngine`);
+    None uses the default, which :func:`use_engine` scopes.  Both engines
+    produce bit-identical event orderings.
     """
 
     def __init__(self, initial_time: float = 0.0,
                  engine: Optional[SimEngine] = None):
         self._now = float(initial_time)
         self.engine = engine if engine is not None else _default_engine
-        self._queue = (HeapQueue() if self.engine.queue == "heap"
-                       else SlottedQueue())
-        self._pool_events = self.engine.pool_events
+        #: True on the tuned engine.  The one switch every fast path reads
+        #: (carrier pooling here, inline sends and vectorized bulk
+        #: reservation in casync and the fabric), cached so the hot paths
+        #: pay a single attribute lookup.
+        self.fast_paths = self.engine is SimEngine.TUNED
+        self._queue = SlottedQueue() if self.fast_paths else HeapQueue()
         self._pool: List[Event] = []
         #: Carrier events served from the free list (observability).
         self.pooled_reuses = 0
@@ -550,15 +529,9 @@ class Environment:
         Only for events whose whole life cycle the kernel controls
         (process initializers, immediate resumes, inline-send hops):
         nothing may hold a reference to a carrier after its callbacks ran.
-
-        With pooling disabled the carrier is a plain one-shot event, so
-        every ``SimEngine`` combination keeps identical visible semantics.
+        Every caller sits behind :attr:`fast_paths`; the heap oracle
+        allocates a fresh one-shot event at each of those sites instead.
         """
-        if not self._pool_events:
-            event = Event(self)
-            event._ok = ok
-            event._value = value
-            return event
         pool = self._pool
         if pool:
             event = pool.pop()

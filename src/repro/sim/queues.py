@@ -5,9 +5,9 @@ events -- ``(time, priority, insertion sequence)``:
 
 * :class:`HeapQueue` -- the original flat binary heap.  Every push/pop is
   O(log n) on one list of ``(time, priority, seq, event)`` tuples.  Kept
-  as the differential oracle: ``SimEngine(queue="heap")`` runs every
-  simulation through it, and the equivalence battery asserts bit-identical
-  traces against the slotted engine.
+  as the differential oracle: ``HEAP_ENGINE`` runs every simulation
+  through it, and the equivalence battery asserts bit-identical traces
+  against the slotted engine.
 * :class:`SlottedQueue` -- a calendar-style queue keyed on the *distinct*
   ``(time, priority)`` instants.  Discrete-event workloads in this
   repository are heavily co-scheduled (a bulk flush completes hundreds of

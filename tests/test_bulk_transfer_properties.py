@@ -54,7 +54,7 @@ def _run_handler(engine, nodes, spec, transfers):
 
 @given(plan=bulk_plan())
 @settings(max_examples=100, deadline=None)
-def test_vector_bulk_matches_per_message_oracle(plan):
+def test_vectorized_bulk_matches_per_message_oracle(plan):
     nodes, spec, transfers = plan
     oracle_log, oracle_stats = _run_handler(HEAP_ENGINE, nodes, spec,
                                             transfers)

@@ -8,34 +8,13 @@ whichever engine runs it.  The heap engine (``HEAP_ENGINE``) is the
 pre-refactor implementation kept as a differential oracle; this suite
 replays every case from the graph-equivalence matrix on both engines and
 compares :func:`~repro.training.trace.trace_hash` digests.
-
-A second matrix toggles each fast-path knob of :class:`SimEngine`
-individually, so a regression in one optimization is attributed to that
-knob rather than "some engine difference".
 """
 
 import pytest
 
-from repro.sim import DEFAULT_ENGINE, HEAP_ENGINE, SimEngine, use_engine
+from repro.sim import DEFAULT_ENGINE, HEAP_ENGINE, use_engine
 
 from tests.test_graph_equivalence import CASES
-
-#: Each knob off on its own, against the all-on default.
-KNOB_ENGINES = {
-    "heap-queue": SimEngine(queue="heap"),
-    "no-pooling": SimEngine(pool_events=False),
-    "no-inline-sends": SimEngine(inline_sends=False),
-    "no-vector-bulk": SimEngine(vector_bulk=False),
-}
-
-#: Representative cases for the per-knob matrix (full oracle matrix below
-#: already covers every configuration): a coordinator-heavy system, a
-#: ring system, and the fully-optimized ablation stage.
-KNOB_CASES = (
-    "hipress-ps/onebit/n4",
-    "hipress-ring/dgc/n4",
-    "casync-ps:pipe+bulk+secopa/onebit/n4",
-)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -46,14 +25,3 @@ def test_heap_oracle_matches_tuned_engine(case):
         tuned = CASES[case]()
     assert tuned == oracle, (
         f"{case}: tuned engine diverged from the heap oracle")
-
-
-@pytest.mark.parametrize("knob", sorted(KNOB_ENGINES))
-@pytest.mark.parametrize("case", KNOB_CASES)
-def test_each_knob_is_semantics_preserving(case, knob):
-    with use_engine(DEFAULT_ENGINE):
-        tuned = CASES[case]()
-    with use_engine(KNOB_ENGINES[knob]):
-        toggled = CASES[case]()
-    assert toggled == tuned, (
-        f"{case}: disabling {knob} changed the simulated timeline")

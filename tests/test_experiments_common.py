@@ -74,7 +74,9 @@ def test_cli_runs_one_artifact(tmp_path, capsys):
 
 
 def test_cli_quick_registry_differs():
-    from repro.experiments.__main__ import build_registry
-    full = build_registry(quick=False)
-    quick = build_registry(quick=True)
+    from repro.experiments.runner import artifact_plans
+    full = artifact_plans(quick=False)
+    quick = artifact_plans(quick=True)
     assert set(full) == set(quick)
+    for name in ("fig7", "table1"):
+        assert full[name].kwargs != quick[name].kwargs, name

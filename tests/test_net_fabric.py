@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.algorithms import OneBit
+from repro.casync import CostModel
+from repro.cluster import ec2_v100_cluster
+from repro.models import MB
 from repro.net import Fabric, NetworkSpec
 from repro.sim import Environment
 
@@ -35,6 +39,17 @@ def test_single_transfer_duration():
     p = env.process(fabric.transfer(0, 1, 1e9))
     env.run_until_complete(p)
     assert env.now == pytest.approx(1.0)
+
+
+def test_uncontended_transfer_takes_cost_model_send_time():
+    """The planner's T_send is what the fabric charges an idle link."""
+    cluster = ec2_v100_cluster(8)
+    cost = CostModel(cluster, OneBit(), strategy="ring")
+    for nbytes in (1, 256 * 1024, 3 * MB + 17, 64 * MB):
+        env = Environment()
+        fabric = Fabric(env, cluster.num_nodes, cluster.network)
+        env.run_until_complete(env.process(fabric.transfer(0, 5, nbytes)))
+        assert env.now == cost.t_send(nbytes), nbytes
 
 
 def test_loopback_is_free():
