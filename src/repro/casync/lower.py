@@ -1,11 +1,11 @@
 """Lowering: SyncPlan IR -> cached task recipes -> executable TaskGraphs.
 
 The backend of the SyncPlan pipeline.  :func:`lower_plan` resolves a
-verified plan against the concrete cluster/algorithm -- computing every
-op's duration, launch overhead, and wire size through the same
-:class:`~repro.strategies.base.TaskBuilder` cost model the strategies used
-to call directly -- and produces a :class:`LoweredRecipe`: a flat list of
-environment-free :class:`TaskSpec` rows.  :func:`instantiate` then turns a
+verified plan against the concrete cluster/algorithm -- it owns the op
+cost model, computing every op's duration, launch overhead, and wire size
+on the executing node's GPU under the op's gradient's codec -- and
+produces a :class:`LoweredRecipe`: a flat list of environment-free
+:class:`TaskSpec` rows.  :func:`instantiate` then turns a
 recipe into a live :class:`~repro.casync.tasks.TaskGraph` for one
 :class:`~repro.sim.Environment`, which is cheap (no cost-model calls, no
 pass pipeline) and is what makes the :class:`GraphCache` pay off: the
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from ..algorithms.base import CompressionAlgorithm
 from .index import plan_index
 from .ir import Op, SyncPlan
-from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan
+from .passes import DEFAULT_PASS_CONFIG, PassContext, build_plan, wire_nbytes
 from .planner import plans_to_json
 from .tasks import Task, TaskGraph
 
@@ -86,82 +86,107 @@ class LoweredRecipe:
                 f"plan={self.plan_digest[:12]}>")
 
 
-class _BuilderContext:
-    """Duck-typed stand-in for SyncContext: TaskBuilder's cost-model calls
-    only touch ``ctx.cluster`` and ``ctx.algorithm``."""
-
-    def __init__(self, cluster, algorithm):
-        self.cluster = cluster
-        self.algorithm = algorithm
+#: Host-side (CPU) throughput penalty per byte relative to the GPU,
+#: calibrated to the paper's 35.6x on-CPU vs on-GPU compression gap.
+CPU_FACTOR = 35.0
 
 
-def _spec_for(op: Op, builder, pctx: PassContext,
+def _spec_for(op: Op, algo, gpu, pctx: PassContext,
               dep_encoding: Tuple[Tuple, ...]) -> TaskSpec:
-    """Cost one IR op through the TaskBuilder and freeze it as a spec."""
-    on_cpu = bool(op.attrs.get("on_cpu"))
+    """Cost one IR op on its node's ``gpu`` under its gradient's ``algo``.
+
+    Kernels cost one launch each (``gpu.kernel_launch_us``) on top of
+    their profiled time.  ``merge`` of an m-byte accumulation reads two
+    buffers and writes one (3 m bytes); ``copy`` reads and writes m bytes
+    (2 m); encode/decode come from the codec's
+    :class:`~repro.algorithms.base.KernelProfile`.  ``on_cpu`` work runs
+    :data:`CPU_FACTOR` times slower per byte (§2.5).
+    """
+    kind = op.kind
     nbytes = op.size.nbytes
-    if op.kind == "encode":
-        task = builder.encode(op.node, nbytes, op.label, on_cpu=on_cpu)
-    elif op.kind == "decode":
-        task = builder.decode(
-            op.node, nbytes, op.label, on_cpu=on_cpu,
-            allocates_output=bool(op.attrs.get("allocates_output")))
-    elif op.kind == "decode_merge":
-        task = builder.aggregate_received(op.node, nbytes, op.label,
-                                          on_cpu=on_cpu)
-    elif op.kind == "merge":
-        task = builder.merge(op.node, nbytes, op.label, on_cpu=on_cpu)
-    elif op.kind == "copy":
-        task = builder.copy(op.node, nbytes, op.label)
-    elif op.kind == "cpu":
-        duration_s = op.attrs.get("duration_s")
-        if duration_s is not None:
-            task = builder.cpu_work(op.node, float(duration_s), op.label)
+    on_cpu = bool(op.attrs.get("on_cpu"))
+    launch = gpu.kernel_launch_us * 1e-6
+    duration = launch_overhead = 0.0
+    out_nbytes = dst = None
+    bulk = False
+    if kind == "encode":
+        duration = algo.encode_time(nbytes, gpu)
+        if on_cpu:
+            duration *= CPU_FACTOR
+        launch_overhead = launch * algo.profile.encode_kernels
+        out_nbytes = wire_nbytes(algo, nbytes)
+    elif kind == "decode":
+        # CaSync decodes into the existing gradient tensor (§5: "CompLL
+        # reuses gradients produced by DNN computation"); OSS-style
+        # integrations allocate a separate output.
+        duration = algo.decode_time(nbytes, gpu)
+        if on_cpu:
+            duration *= CPU_FACTOR
+        launch_overhead = launch * algo.profile.decode_kernels
+        if op.attrs.get("allocates_output"):
+            out_nbytes = nbytes
+    elif kind == "decode_merge":
+        if algo is not None and algo.category == "sparsification":
+            # Scatter-add touching only the transmitted (index, value)
+            # pairs of the received buffer.
+            kind = "merge"
+            nbytes = wire_nbytes(algo, nbytes)
+            duration = gpu.kernel_time(3 * nbytes, kernels=1)
+            if on_cpu:
+                duration *= CPU_FACTOR
+            launch_overhead = launch
         else:
-            task = builder.cpu_aggregate(op.node, nbytes, op.label)
-    elif op.kind == "send":
-        task = builder.send(op.node, op.dst, pctx.wire_op(op), op.label,
-                            bulk=bool(op.attrs.get("bulk")))
-    elif op.kind == "barrier":
-        task = builder.notify(op.node, op.label)
+            # §5's fused decode-and-merge kernel: the merge rides on the
+            # decode's launch.
+            kind = "decode"
+            duration = (algo.decode_time(nbytes, gpu)
+                        + gpu.kernel_time(nbytes, kernels=1) - launch)
+            launch_overhead = launch * algo.profile.decode_kernels
+    elif kind == "merge":
+        duration = gpu.kernel_time(3 * nbytes, kernels=1)
+        if on_cpu:
+            # Host summation: memory-bound at host DRAM speed, with the
+            # GPU<->host PCIe hops folded into the same factor.
+            duration *= 6
+        launch_overhead = launch
+    elif kind == "copy":
+        duration = gpu.kernel_time(2 * nbytes, kernels=1)
+        launch_overhead = launch
+        out_nbytes = nbytes
+    elif kind == "cpu":
+        duration_s = op.attrs.get("duration_s")
+        if duration_s is not None:  # fixed host-side work
+            duration, nbytes = float(duration_s), 0.0
+        else:  # host summation at this node's PCIe + vector rate
+            duration = (nbytes / pctx.cluster.node_at(op.node)
+                        .cpu_agg_bytes_per_s)
+    elif kind == "send":
+        nbytes = pctx.wire_op(op)
+        dst = op.dst
+        bulk = bool(op.attrs.get("bulk"))
+    elif kind == "barrier":
+        kind, nbytes = "notify", 0.0
     else:  # unreachable: the verifier ran before lowering
         raise ValueError(f"cannot lower op kind {op.kind!r}")
-    # The byteps-oss pattern: work costed by a GPU-kind builder method but
-    # executed on the host CPU executor (encode/decode pinned to the CPU).
-    kind = "cpu" if op.attrs.get("as_cpu") else task.kind
-    return TaskSpec(kind=kind, node=task.node, label=task.label,
-                    duration=task.duration,
-                    launch_overhead=task.launch_overhead,
-                    nbytes=task.nbytes, out_nbytes=task.out_nbytes,
-                    dst=task.dst, bulk=task.bulk, deps=dep_encoding)
+    # The byteps-oss pattern: GPU-costed work executed on the host CPU
+    # executor (encode/decode pinned to the CPU).
+    if op.attrs.get("as_cpu"):
+        kind = "cpu"
+    return TaskSpec(kind=kind, node=op.node, label=op.label,
+                    duration=duration, launch_overhead=launch_overhead,
+                    nbytes=nbytes, out_nbytes=out_nbytes, dst=dst,
+                    bulk=bulk, deps=dep_encoding)
 
 
 def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     """Resolve a (verified) plan into an environment-free recipe.
 
-    Under an adaptive :class:`~repro.casync.decisions.DecisionMap`, each
-    op is costed through a TaskBuilder bound to *its gradient's* codec
-    (one builder per palette entry, created lazily); without decisions
-    every op uses the plan-wide default builder, byte-identically to the
-    pre-adaptive lowering.
+    Each op is costed on its executing node's GPU under its gradient's
+    codec (:meth:`~repro.casync.passes.PassContext.algorithm_for`: the
+    plan-wide algorithm unless an adaptive decision overrides it).
     """
-    from ..strategies.base import TaskBuilder  # deferred: avoids a cycle
-
-    builder = TaskBuilder(_BuilderContext(pctx.cluster, pctx.algorithm))
-    builders: Dict[Optional[str], object] = {None: builder}
-
-    def builder_for(op: Op):
-        if pctx.decisions is None or op.grad is None:
-            return builder
-        dec = pctx.decisions.get(op.grad)
-        key = None if dec is None else dec.algorithm
-        chosen = builders.get(key)
-        if chosen is None:
-            chosen = TaskBuilder(_BuilderContext(
-                pctx.cluster, pctx.decisions.palette[key]))
-            builders[key] = chosen
-        return chosen
-
+    gpus = [node.gpu for node in pctx.cluster.nodes]
+    algorithm_for = pctx.algorithm_for
     # The uid->position map and dependency encodings come from the shared
     # structural index (computed once per plan at the end of build_plan);
     # specs reference the index's tuples directly, so the whole-plan
@@ -169,7 +194,8 @@ def lower_plan(plan: SyncPlan, pctx: PassContext) -> LoweredRecipe:
     encodings = plan_index(plan).dep_encodings
     specs: List[TaskSpec] = []
     for i, op in enumerate(plan.ops):
-        specs.append(_spec_for(op, builder_for(op), pctx, encodings[i]))
+        specs.append(_spec_for(op, algorithm_for(op.grad), gpus[op.node],
+                               pctx, encodings[i]))
     return LoweredRecipe(specs=specs, plan_digest=plan.digest(),
                          strategy=plan.strategy, num_nodes=plan.num_nodes,
                          meta=dict(plan.meta))
@@ -185,8 +211,7 @@ def instantiate(recipe: LoweredRecipe, ctx) -> TaskGraph:
     graph = TaskGraph(ctx.env)
     tasks: List[Task] = []
     for spec in recipe.specs:
-        kind = "notify" if spec.kind == "barrier" else spec.kind
-        task = Task(spec.node, kind, spec.label, duration=spec.duration,
+        task = Task(spec.node, spec.kind, spec.label, duration=spec.duration,
                     launch_overhead=spec.launch_overhead, nbytes=spec.nbytes,
                     dst=spec.dst, bulk=spec.bulk,
                     out_nbytes=spec.out_nbytes)
@@ -380,10 +405,10 @@ def build_graph(strategy, ctx, model,
     pctx = PassContext(
         num_nodes=ctx.cluster.num_nodes, cluster=ctx.cluster,
         algorithm=ctx.algorithm, plans=ctx.plans,
-        config=(ctx.pass_config if getattr(ctx, "pass_config", None)
-                is not None else DEFAULT_PASS_CONFIG),
-        decisions=getattr(ctx, "decisions", None))
-    tel = getattr(ctx.env, "telemetry", None)
+        config=(ctx.pass_config if ctx.pass_config is not None
+                else DEFAULT_PASS_CONFIG),
+        decisions=ctx.decisions)
+    tel = ctx.env.telemetry
     store = cache if cache is not None else _DEFAULT_CACHE
     key = cache_key(strategy, model, pctx)
     recipe = store.get(key)

@@ -167,40 +167,46 @@ def _fanout_callback(dependents: List[Task], dispatch):
 def robust_transfer(env: Environment, fabric: Fabric, src: int, dst: int,
                     nbytes: float, policy: RetryPolicy,
                     membership: Optional[Membership] = None,
-                    degradation: bool = True):
+                    degradation: bool = True, task: Optional[Task] = None):
     """Generator: move ``nbytes`` src->dst with timeout/backoff/retries.
 
     The robustness contract every fault-tolerant sender shares:
 
-    * each attempt gets an expectation-scaled timeout; a stalled attempt is
-      interrupted (abandoned bytes are logged as dropped by the fabric) and
-      retried after exponential backoff;
+    * each attempt gets a timeout scaled from the uncontended time over
+      the src->dst pair's own links; a stalled attempt is interrupted
+      (abandoned bytes are logged as dropped by the fabric) and retried
+      after exponential backoff;
     * attempts that fail with :class:`TransferError` (transient loss,
       partition, crash) consume the same retry budget;
     * when the budget for a destination is exhausted, the peer is declared
       dead in ``membership``; with ``degradation`` the transfer re-routes
       to the peer's deterministic substitute and starts a fresh budget.
 
+    ``task`` is the send task being served, if any: every attempt is
+    counted in its ``attempts``, and once the fault machinery
+    force-completes it no further attempt starts.
+
     Returns ``(outcome, final_dst)`` where outcome is ``"delivered"``
     (bytes arrived at final_dst), ``"local"`` (routing collapsed onto the
-    sender: nothing crosses the wire), or ``"dead"`` (no membership / no
-    degradation to fall back on -- the caller decides whether that aborts
-    the round).
+    sender: nothing crosses the wire), ``"forced"`` (``task`` completed
+    elsewhere), or ``"dead"`` (no membership / no degradation to fall
+    back on -- the caller decides whether that aborts the round).
     """
-    expected = fabric.spec.transfer_time(nbytes)
+    expected = fabric.pair_transfer_time(src, dst, nbytes)
     while True:
         target = membership.route(dst) if membership is not None else dst
         if target == src:
             return ("local", target)
         failures = 0
         for attempt in range(policy.max_attempts):
+            if task is not None and task.completed.triggered:
+                return ("forced", target)
             if membership is not None and not membership.is_alive(target):
                 break  # someone else already declared this peer dead
-
-            def _attempt(fabric=fabric, src=src, target=target, nbytes=nbytes):
-                yield from fabric.transfer(src, target, nbytes)
-
-            xfer = env.process(_attempt(), name=f"xfer:{src}->{target}")
+            if task is not None:
+                task.attempts += 1
+            xfer = env.process(fabric.transfer(src, target, nbytes),
+                               name=f"xfer:{src}->{target}")
             timer = env.timeout(policy.attempt_timeout(expected, attempt))
             try:
                 yield env.any_of([xfer, timer])
@@ -381,16 +387,14 @@ class Coordinator:
         while self._queues:
             yield self.env.timeout(self.timeout_s / 2)
             now = self.env.now
-            if self._vector_eligible():
-                due = [key for key in self._queues
-                       if self._queues[key]
-                       and now - self._queues[key][0][1] >= self.timeout_s]
-                if due:
-                    self._flush_bulk(due)
+            due = [key for key, queue in self._queues.items()
+                   if queue and now - queue[0][1] >= self.timeout_s]
+            if not due:
                 continue
-            for key in list(self._queues):
-                queue = self._queues.get(key)
-                if queue and now - queue[0][1] >= self.timeout_s:
+            if self._vector_eligible():
+                self._flush_bulk(due)
+            else:
+                for key in due:
                     self._flush(key)
         self._ticker_running = False
 
@@ -558,33 +562,17 @@ class NodeEngine:
         env = self.env
         now = env.now
         task.started_at = now
-        fabric = self.fabric
-        src, dst = task.node, task.dst
-        fabric._check_node(src)
-        fabric._check_node(dst)
-        if task.nbytes < 0:
-            raise ValueError(f"negative transfer size {task.nbytes}")
-        if src == dst:
+        delivery = self.fabric.reserve(task.node, task.dst, task.nbytes)
+        if task.node == task.dst:
             # Loopback is free: complete at the issue instant, like the
             # generator path (which never touches the NIC).
             task.finished_at = now
             if not task.completed.triggered:
                 task.completed.succeed()
             return
-        sender, receiver = fabric.nics[src], fabric.nics[dst]
-        up_ser = task.nbytes / sender.link.up_bytes_per_s
-        down_ser = task.nbytes / receiver.link.down_bytes_per_s
-        up_finish = max(now, sender.up_free) + up_ser
-        down_finish = max(now, receiver.down_free) + down_ser
-        sender.up_free = up_finish
-        receiver.down_free = down_finish
-        sender.up_busy += up_ser
-        receiver.down_busy += down_ser
-        finish = max(up_finish, down_finish)
-        latency = max(sender.link.latency_s, receiver.link.latency_s)
         done = env._acquire_carrier(True, task)
         done.callbacks.append(self._finish_send)
-        env.schedule(done, delay=finish + latency - now)
+        env.schedule(done, delay=delivery - now)
 
     def _finish_send(self, event: Event) -> None:
         task = event._value
@@ -600,71 +588,24 @@ class NodeEngine:
         task.started_at = self.env.now
         span = self._task_span(task, task.started_at)
         before = task.attempts
-        outcome, final_dst = yield from self._counted_robust_transfer(task)
+        outcome, final_dst = yield from robust_transfer(
+            self.env, self.fabric, self.node, task.dst, task.nbytes,
+            self.retry_policy, self.membership, self.degradation, task=task)
+        attempts = task.attempts - before
+        # Every attempt failed except a delivering last one.
+        self.retries += attempts - (outcome == "delivered")
         task.finished_at = self.env.now
         self.send_busy += task.finished_at - task.started_at
         self._finish_task_span(span, outcome=outcome, dst=final_dst,
-                               attempts=task.attempts - before)
+                               attempts=attempts)
         if task.completed.triggered:
             return  # force-completed while we were retrying
         if outcome == "dead":
             task.completed.fail(PeerDeadError(
-                self.node, final_dst, task.nbytes, task.attempts - before))
+                self.node, final_dst, task.nbytes, attempts))
         else:
             task.dropped = outcome == "local"
             task.completed.succeed()
-
-    def _counted_robust_transfer(self, task: Task):
-        policy = self.retry_policy
-        membership = self.membership
-        env = self.env
-        fabric = self.fabric
-        expected = fabric.pair_transfer_time(self.node, task.dst,
-                                             task.nbytes)
-        dst = task.dst
-        while True:
-            target = membership.route(dst) if membership is not None else dst
-            if target == self.node:
-                return ("local", target)
-            failures = 0
-            for attempt in range(policy.max_attempts):
-                if task.completed.triggered:
-                    return ("forced", target)
-                if membership is not None and not membership.is_alive(target):
-                    break
-
-                def _attempt(src=self.node, target=target, nbytes=task.nbytes):
-                    yield from fabric.transfer(src, target, nbytes)
-
-                task.attempts += 1
-                xfer = env.process(
-                    _attempt(), name=f"xfer@{self.node}:{task.label}")
-                timer = env.timeout(policy.attempt_timeout(expected, attempt))
-                try:
-                    yield env.any_of([xfer, timer])
-                except TransferError:
-                    pass
-                else:
-                    if xfer.triggered and xfer.ok:
-                        if not timer.processed:
-                            timer.cancel()
-                        return ("delivered", target)
-                    if xfer.is_alive:
-                        xfer.interrupt("retry-timeout")
-                if not timer.processed:
-                    timer.cancel()
-                failures += 1
-                self.retries += 1
-                if membership is not None:
-                    membership.suspect(target)
-                if attempt + 1 < policy.max_attempts:
-                    yield env.timeout(policy.backoff(failures))
-            if membership is None:
-                return ("dead", target)
-            membership.declare_dead(target)
-            if not self.degradation:
-                return ("dead", target)
-            # Loop around: membership.route(dst) now names the substitute.
 
     def _cpu_executor(self):
         """Serial host-CPU worker (BytePS-style server aggregation)."""

@@ -455,12 +455,7 @@ class Fabric:
         span (a send task, a coordinator batch); it is ignored when no
         collector is attached.
         """
-        self._check_node(src)
-        self._check_node(dst)
-        if self._inactive:
-            self._check_active(src, dst, nbytes)
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        self._validate(src, dst, nbytes)
         if src == dst:
             return
         tel = self.env.telemetry
@@ -487,28 +482,51 @@ class Fabric:
         tel.metrics.counter("net.messages").inc()
         tel.metrics.histogram("net.transfer_s").observe(span.duration)
 
-    def _transfer_pristine(self, src: int, dst: int,
-                           nbytes: float) -> Generator[Any, Any, None]:
-        """The fault-free transfer path (no FaultState attached)."""
-        env = self.env
+    def reserve(self, src: int, dst: int, nbytes: float,
+                factor: float = 1.0) -> float:
+        """Reserve NIC time for one transfer issued now; return the
+        absolute instant its last byte is delivered.
+
+        The one scalar NIC reservation rule (:meth:`_bulk_reserve` is its
+        batched form, bit for bit).  A loopback uses no NIC and is
+        delivered now.  Otherwise each direction is an independent fluid
+        FIFO: the sender's uplink and the receiver's downlink each take
+        the bytes when they get to them, at their own link's rate, and
+        delivery completes when the slower side has, plus the slower
+        endpoint's wire latency.  This avoids convoy collapse under
+        incast (an idle uplink is never blocked just because the peer's
+        downlink is backed up).  ``factor`` stretches both serializations
+        (a degraded link).  Statistics are the caller's, at delivery.
+        """
+        self._validate(src, dst, nbytes)
+        now = self.env.now
+        if src == dst:
+            return now
         sender, receiver = self.nics[src], self.nics[dst]
-        up_ser = nbytes / sender.link.up_bytes_per_s
-        down_ser = nbytes / receiver.link.down_bytes_per_s
-        # Each direction is an independent fluid FIFO: the sender's uplink
-        # and the receiver's downlink each process the bytes when they get
-        # to them, at their own link's rate, and delivery completes when
-        # the slower side has.  This avoids convoy collapse under incast
-        # (an idle uplink is never blocked just because the peer's
-        # downlink is backed up).
-        up_finish = max(env.now, sender.up_free) + up_ser
-        down_finish = max(env.now, receiver.down_free) + down_ser
+        up_ser = nbytes / sender.link.up_bytes_per_s * factor
+        down_ser = nbytes / receiver.link.down_bytes_per_s * factor
+        up_finish = max(now, sender.up_free) + up_ser
+        down_finish = max(now, receiver.down_free) + down_ser
         sender.up_free = up_finish
         receiver.down_free = down_finish
         sender.up_busy += up_ser
         receiver.down_busy += down_ser
-        finish = max(up_finish, down_finish)
-        latency = max(sender.link.latency_s, receiver.link.latency_s)
-        yield env.timeout(finish + latency - env.now)
+        return (max(up_finish, down_finish)
+                + max(sender.link.latency_s, receiver.link.latency_s))
+
+    def _validate(self, src: int, dst: int, nbytes: float) -> None:
+        self._check_node(src)
+        self._check_node(dst)
+        if self._inactive:
+            self._check_active(src, dst, nbytes)
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+
+    def _transfer_pristine(self, src: int, dst: int,
+                           nbytes: float) -> Generator[Any, Any, None]:
+        """The fault-free transfer path (no FaultState attached)."""
+        env = self.env
+        yield env.timeout(self.reserve(src, dst, nbytes) - env.now)
         self.stats.record(src, nbytes)
 
     def _transfer_faulty(self, src: int, dst: int,
@@ -545,12 +563,12 @@ class Fabric:
             if faults.is_dead(src):
                 record.drop(env.now, "src-dead")
                 raise TransferError(src, dst, nbytes, "source node is dead")
-            sender, receiver = self.nics[src], self.nics[dst]
             factor = faults.link_factor(src, dst)
-            up_ser = nbytes / sender.link.up_bytes_per_s * factor
-            down_ser = nbytes / receiver.link.down_bytes_per_s * factor
             if faults.take_transient(src, dst):
-                partial = up_ser * 0.5
+                # The failed attempt holds only the sender's uplink, for
+                # half its serialization time, and never reaches the wire.
+                sender = self.nics[src]
+                partial = nbytes / sender.link.up_bytes_per_s * factor * 0.5
                 up_finish = max(env.now, sender.up_free) + partial
                 sender.up_free = up_finish
                 sender.up_busy += partial
@@ -558,15 +576,8 @@ class Fabric:
                 record.drop(env.now, "transient")
                 raise TransferError(src, dst, nbytes,
                                     "transient send failure")
-            up_finish = max(env.now, sender.up_free) + up_ser
-            down_finish = max(env.now, receiver.down_free) + down_ser
-            sender.up_free = up_finish
-            receiver.down_free = down_finish
-            sender.up_busy += up_ser
-            receiver.down_busy += down_ser
-            finish = max(up_finish, down_finish)
-            latency = max(sender.link.latency_s, receiver.link.latency_s)
-            yield env.timeout(finish + latency - env.now)
+            yield env.timeout(self.reserve(src, dst, nbytes, factor)
+                              - env.now)
             if faults.is_dead(dst):
                 record.drop(env.now, "dst-dead")
                 raise TransferError(src, dst, nbytes,

@@ -8,8 +8,7 @@ the same way compression algorithms are looked up.  The paper's
 (:data:`repro.experiments.common.SYSTEMS`), not strategy names.
 """
 
-from .base import (MembershipBound, Strategy, SyncContext, TaskBuilder,
-                   bind_roster)
+from .base import MembershipBound, Strategy, SyncContext, bind_roster
 from .casync import CaSyncPS, CaSyncRing
 from .oss import BytePSOSSCompression, RingOSSCompression
 from .ps import BytePS, partition_sizes
@@ -37,7 +36,6 @@ __all__ = [
     "RingOSSCompression",
     "Strategy",
     "SyncContext",
-    "TaskBuilder",
     "available_strategies",
     "bind_roster",
     "bucketize",

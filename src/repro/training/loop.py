@@ -305,10 +305,9 @@ def _run_round(model: ModelSpec, cluster: ClusterSpec, strategy: Strategy, *,
              for node in range(cluster.num_nodes)
              for grad in model.gradients}
 
-    ctx = SyncContext(env=env, cluster=cluster, fabric=fabric, gpus=gpus,
-                      engines=engines, ready=ready, algorithm=algorithm,
-                      plans=plans, coordinator=coordinator,
-                      pass_config=pconf, decisions=decisions)
+    ctx = SyncContext(env=env, cluster=cluster, ready=ready,
+                      algorithm=algorithm, plans=plans, pass_config=pconf,
+                      decisions=decisions)
     graph = strategy.build(ctx, model)
 
     # Per-GPU-model timing, computed once per distinct model (one entry on

@@ -113,7 +113,7 @@ def test_register_strategy_rejects_duplicates_and_aliases():
     class Custom(Strategy):
         name = "custom-test"
 
-        def build(self, ctx, model):  # pragma: no cover
+        def expand(self, plan, pctx, model):  # pragma: no cover
             raise NotImplementedError
 
     register_strategy("custom-test", Custom)

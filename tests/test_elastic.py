@@ -184,6 +184,8 @@ class TestFabricMembership:
         assert "torn down" in str(err.value)
         with pytest.raises(TransferError):
             fabric.bulk_transfer([(0, 2, 1024.0)])
+        with pytest.raises(TransferError):  # the inline engine send's path
+            fabric.reserve(0, 2, 1024)
 
     def test_reactivated_nic_transfers_again(self):
         env, fabric = self._fabric()

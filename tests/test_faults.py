@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.algorithms import OneBit
-from repro.cluster import ec2_v100_cluster
+from repro.casync import Coordinator, NodeEngine, Task, TaskGraph, run_graph
+from repro.cluster import ec2_v100_cluster, get_cluster
 from repro.faults import (
     DeadlineExceeded,
     FaultSchedule,
@@ -35,7 +36,10 @@ from repro.faults import (
 )
 from repro.faults.injector import TransferLog
 from repro.faults.runner import CompletionRecord
+from repro.gpu import Gpu
 from repro.models import GradientSpec, ModelSpec
+from repro.net import Fabric
+from repro.sim import Environment
 from repro.strategies import (
     BytePS,
     BytePSOSSCompression,
@@ -292,6 +296,39 @@ def test_crash_with_quick_restart_completes():
     report = result.fault_report
     assert report is not None and not report.aborted
     check_all(report)
+
+
+def test_bulk_flush_times_retries_on_the_pair_link():
+    """A coordinator flush and a direct send of the same bytes get the same
+    attempt timeouts, both scaled from the src->dst pair's own links.
+
+    Node 5 of an 8-node wan-edge cluster sits behind a WAN uplink 100x
+    slower than the core link.  Timed from the core link instead, the
+    bulk flush's every attempt timed out and the peer was declared dead
+    after 4 attempts at 48.9 ms, while the direct send arrived at 71.6 ms.
+    """
+    cluster = get_cluster("wan-edge", num_nodes=8)
+    assert 5 in cluster.network.wan.members(8)
+
+    def send(bulk):
+        env = Environment()
+        fabric = Fabric(env, 8, cluster.network)
+        policy = RetryPolicy()
+        coordinator = Coordinator(env, fabric, retry_policy=policy)
+        engines = [NodeEngine(env, i, Gpu(env, cluster.node_at(i).gpu, i),
+                              fabric, coordinator=coordinator,
+                              retry_policy=policy)
+                   for i in range(8)]
+        graph = TaskGraph(env)
+        task = graph.add(Task(5, "send", "wan", nbytes=4 * MB, dst=0,
+                              bulk=bulk))
+        finish = run_graph(env, graph, engines)
+        assert task.completed.ok and not task.dropped
+        return finish
+
+    direct = send(bulk=False)
+    assert direct == pytest.approx(0.0716, abs=1e-4)
+    assert send(bulk=True) == direct
 
 
 def test_transient_failures_are_retried_to_completion():

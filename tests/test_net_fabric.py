@@ -1,6 +1,11 @@
 """Unit tests for the network fabric model."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.algorithms import OneBit
 from repro.casync import CostModel
@@ -209,3 +214,24 @@ def test_utilization():
     env.run_until_complete(p)
     # Sender uplink + receiver downlink: 2 of 4 directions busy the whole second.
     assert fabric.utilization() == pytest.approx(0.5, rel=0.05)
+
+
+NIC_CLOCKS = {"up_free", "down_free", "up_busy", "down_busy"}
+
+
+def test_only_the_fabric_writes_nic_clocks():
+    """NIC reservation has one owner: no module outside net/fabric.py may
+    assign a NIC's free/busy clocks (reading them is fine)."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "net" / "fabric.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in NIC_CLOCKS
+                    and isinstance(node.ctx, ast.Store)):
+                offenders.append(
+                    f"{path.relative_to(root)}:{node.lineno} {node.attr}")
+    assert not offenders, (
+        "NIC clocks assigned outside net/fabric.py (reserve through "
+        f"Fabric.reserve instead): {offenders}")
